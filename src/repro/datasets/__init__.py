@@ -16,8 +16,9 @@ Use :func:`load` to obtain a table::
 from repro.datasets.registry import (
     dataset_names,
     default_size,
+    identity,
     load,
     schema_of,
 )
 
-__all__ = ["load", "schema_of", "dataset_names", "default_size"]
+__all__ = ["load", "schema_of", "dataset_names", "default_size", "identity"]

@@ -40,7 +40,18 @@ def _resolve(name: str) -> str:
 
 def default_size(name: str) -> int:
     """The table size the paper used for this dataset."""
-    return _GENERATORS[_resolve(name)][2]
+    return identity(name)[1]
+
+
+def identity(name: str, n: int | None = None) -> tuple[str, int]:
+    """The canonical ``(name, size)`` a :func:`load` call resolves to.
+
+    Every spelling of one table (``"adt"``/``"ADT"``/``"adult"``,
+    ``n=None``/``n=5000``) maps to the same pair, so callers can key
+    memos on it; unknown names raise :class:`DatasetError`.
+    """
+    key = _resolve(name)
+    return key, n if n is not None else _GENERATORS[key][2]
 
 
 def load(
@@ -60,12 +71,10 @@ def load(
     private:
         Attach the dataset's private (sensitive) attribute.
     """
-    key = _resolve(name)
+    key, size = identity(name, n)
     checkpoint("datasets.load")
-    generate, _, default_n = _GENERATORS[key]
-    size = n if n is not None else default_n
     with span("datasets.load", dataset=key, n=size):
-        return generate(size, seed=seed, private=private)
+        return _GENERATORS[key][0](size, seed=seed, private=private)
 
 
 def schema_of(name: str, private: bool = False) -> Schema:

@@ -11,13 +11,16 @@ drill and the serve bench all drive it directly):
    exit path so a half-open probe can never leak), then the bounded
    :class:`~repro.serve.admission.AdmissionGate`; overload yields a
    typed shed envelope, never a hang.
-3. **cache** — fingerprint the loaded table and look up
-   ``(fingerprint, k, notion, measure)``; hits serve the stored body
-   verbatim with zero recomputation.
+3. **cache** — look up ``(fingerprint, k, notion, measure)``.  A
+   registry table's fingerprint and size come from a per-process
+   ``(dataset, n, seed)`` identity memo, so hits serve the stored body
+   verbatim without loading the table; the first request per table
+   after a restart loads it to refill the memo.  Custom loaders always
+   load.
 4. **execute** — run the :mod:`repro.runtime.fallback` degradation
-   chain under the request's :class:`~repro.runtime.Deadline`, guarded
-   by retry and the breaker; the winning rung lands in the response's
-   guarantee block.
+   chain under the request's :class:`~repro.runtime.Deadline` (which
+   also bounds any table load), guarded by retry and the breaker; the
+   winning rung lands in the response's guarantee block.
 5. **store** — persist the deterministic body through the crash-safe
    cache journal *after* the deadline scope is exited, so a result in
    hand is never discarded because storing it ran past the SLO.
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.backend import resolve_backend
-from repro.datasets.registry import load as load_dataset
+from repro.datasets.registry import identity, load as load_dataset
 from repro.errors import (
     FallbackExhausted,
     ReproError,
@@ -211,8 +214,10 @@ class AnonymizationService:
             clock=clock,
         )
         self._ids = itertools.count(1)
-        self._fingerprints: dict[tuple[str, int | None, int], str] = {}
-        self._fp_lock = threading.Lock()
+        #: (dataset, n, seed) identity -> (fingerprint, num_records)
+        self._memo: dict[tuple[str, int, int], tuple[str, int]] = {}
+        self._memo_fills: dict[tuple[str, int, int], threading.Lock] = {}
+        self._memo_lock = threading.Lock()
 
     # ----------------------------------------------------------------- #
 
@@ -450,12 +455,43 @@ class AnonymizationService:
         budget: float,
         permit: BreakerPermit,
     ) -> dict[str, Any]:
-        table = self.loader(request)
-        if request.k > table.num_records:
+        # One deadline spanning the load and every retry attempt: the
+        # budget is the client's, so no phase runs outside it and a
+        # retried execution resumes the *remaining* budget rather than
+        # restarting a fresh one per attempt.
+        deadline = Deadline.after(budget, clock=self.clock)
+        table: Table | None = None
+
+        def _load() -> Table:
+            with limit_scope(deadline):
+                return self.loader(request)
+
+        if self.loader is default_loader:
+            # Registry tables are pure functions of (dataset, n, seed),
+            # so a memoized identity answers the k check and the cache
+            # lookup without a table; custom loaders always load.
+            memo_key = identity(request.dataset, request.n) + (request.seed,)
+            memo = self._memo.get(memo_key)
+            if memo is None:
+                with self._memo_lock:
+                    fill = self._memo_fills.setdefault(
+                        memo_key, threading.Lock()
+                    )
+                with fill:  # concurrent first requests load the table once
+                    memo = self._memo.get(memo_key)
+                    if memo is None:
+                        table = _load()
+                        memo = (table_fingerprint(table), table.num_records)
+                        self._memo[memo_key] = memo
+            fingerprint, num_records = memo
+        else:
+            table = _load()
+            fingerprint = table_fingerprint(table)
+            num_records = table.num_records
+        if request.k > num_records:
             raise RequestError(
-                f"k={request.k} exceeds the table size n={table.num_records}"
+                f"k={request.k} exceeds the table size n={num_records}"
             )
-        fingerprint = self._fingerprint(request, table)
         # The key deliberately excludes the backend: backends are
         # bit-equivalent, so a body computed under either is *the*
         # body for this request.
@@ -468,11 +504,9 @@ class AnonymizationService:
         if body is not None:
             return ok_envelope(request, body, cache_hit=True, backend=backend)
 
+        if table is None:  # a table fingerprinted above is reused
+            table = _load()
         chain = chain_for(request.notion)
-        # One deadline spanning every retry attempt: the budget is the
-        # client's, so a retried execution resumes the *remaining*
-        # budget rather than restarting a fresh one per attempt.
-        deadline = Deadline.after(budget, clock=self.clock)
 
         def _run() -> FallbackOutcome:
             checkpoint("serve.execute")
@@ -519,23 +553,3 @@ class AnonymizationService:
         # the request because persistence ran past the SLO helps nobody.
         self.cache.put(key, body)
         return ok_envelope(request, body, cache_hit=False, backend=backend)
-
-    def _fingerprint(self, request: AnonymizeRequest, table: Table) -> str:
-        """Fingerprint with a per-(dataset, n, seed) memo.
-
-        The memo only short-circuits the hash for *registry-named*
-        tables, which are pure functions of ``(dataset, n, seed)``;
-        injected loaders that ignore the request (tests) bypass it by
-        keying on the loader identity being the default.
-        """
-        if self.loader is not default_loader:
-            return table_fingerprint(table)
-        memo_key = (request.dataset, request.n, request.seed)
-        with self._fp_lock:
-            cached = self._fingerprints.get(memo_key)
-        if cached is not None:
-            return cached
-        fingerprint = table_fingerprint(table)
-        with self._fp_lock:
-            self._fingerprints[memo_key] = fingerprint
-        return fingerprint

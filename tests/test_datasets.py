@@ -5,7 +5,13 @@ import pytest
 
 from repro.datasets import adult, artificial, cmc
 from repro.datasets.base import check_probs, sample_categorical, validate_n
-from repro.datasets.registry import dataset_names, default_size, load, schema_of
+from repro.datasets.registry import (
+    dataset_names,
+    default_size,
+    identity,
+    load,
+    schema_of,
+)
 from repro.errors import DatasetError
 from repro.tabular.encoding import EncodedTable
 
@@ -163,6 +169,14 @@ class TestRegistry:
     def test_unknown_dataset(self):
         with pytest.raises(DatasetError, match="unknown dataset"):
             load("census2020")
+        with pytest.raises(DatasetError, match="unknown dataset"):
+            identity("census2020")
+
+    def test_identity_canonicalizes_aliases_and_default_n(self):
+        for spelling in ("adt", "ADT", "adult"):
+            assert identity(spelling) == ("adult", 5000)
+            assert identity(spelling, 5000) == ("adult", 5000)
+        assert identity("artificial", 40) == ("art", 40)
 
     def test_schema_of(self):
         schema = schema_of("adult", private=True)

@@ -10,12 +10,14 @@ subprocess SIGKILL drill in ``tools/serve_smoke.py`` (CI).
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.errors import RequestError, ReproError, ServiceOverloaded
 from repro.obs import (
     MetricsRegistry,
@@ -88,6 +90,24 @@ def _request(**overrides) -> dict:
     payload = {"k": 2, "dataset": "art", "n": 30, "notion": "kk"}
     payload.update(overrides)
     return payload
+
+
+@pytest.fixture
+def loads(monkeypatch) -> list:
+    """Records every registry-table load the service makes."""
+    calls: list = []
+    real = service_module.load_dataset
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "load_dataset", counting)
+    return calls
+
+
+def _without_meta(envelope: dict) -> dict:
+    return {key: value for key, value in envelope.items() if key != "meta"}
 
 
 # --------------------------------------------------------------------- #
@@ -358,7 +378,7 @@ class TestCircuitBreaker:
 
 
 class TestService:
-    def test_happy_path_envelope_and_cache_hit(self):
+    def test_happy_path_envelope_and_cache_hit(self, loads):
         service = _service()
         first = service.handle(_request())
         assert first["status"] == "ok"
@@ -368,11 +388,17 @@ class TestService:
         assert guarantee["degraded"] is False
         assert first["body"]["result"]["rows"]
         assert first["meta"]["cache_hit"] is False
+        assert len(loads) == 1
 
         second = service.handle(_request())
         assert second["meta"]["cache_hit"] is True
         assert second["body"] == first["body"]
         assert service.registry.counter("serve.execute.computed") == 1
+        assert len(loads) == 1  # a warm hit never loads the table
+
+        third = service.handle(_request(k=3))  # new cell, known table
+        assert third["meta"]["cache_hit"] is False
+        assert len(loads) == 2  # loaded once, fingerprint memoized
 
     def test_bad_payload_is_a_request_error_not_an_exception(self):
         envelope = _service().handle({"k": "two"})
@@ -380,10 +406,94 @@ class TestService:
         assert envelope["error"]["kind"] == "request"
         assert http_status(envelope) == 400
 
-    def test_k_larger_than_table_is_a_request_error(self):
-        envelope = _service().handle(_request(k=100, n=30))
+    def test_k_larger_than_table_is_a_request_error(self, loads):
+        service = _service()
+        envelope = service.handle(_request(k=100, n=30))
         assert envelope["status"] == "error"
         assert envelope["error"]["kind"] == "request"
+        assert envelope["error"]["message"] == (
+            "k=100 exceeds the table size n=30"
+        )
+        assert len(loads) == 1
+
+        again = service.handle(_request(k=100, n=30))  # memoized identity
+        assert _without_meta(again) == _without_meta(envelope)
+        assert len(loads) == 1
+
+    def test_table_spellings_share_one_memo_entry(self, loads):
+        service = _service()
+        # k > n keeps every request cheap: no chain ever runs.
+        spellings = [
+            _request(k=5000, dataset="art", n=None),
+            _request(k=5000, dataset="ART", n=1000),
+            _request(k=5000, dataset="artificial", n=None),
+        ]
+        envelopes = [service.handle(payload) for payload in spellings]
+        assert {e["error"]["message"] for e in envelopes} == {
+            "k=5000 exceeds the table size n=1000"
+        }
+        assert len(loads) == 1
+
+    def test_concurrent_first_requests_load_the_table_once(self, loads):
+        service = _service(
+            config=ServiceConfig(retry=_FAST_RETRY, max_inflight=8)
+        )
+        envelopes: list[dict] = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: envelopes.append(
+                        service.handle(_request(k=100, n=30))
+                    )
+                )
+                for _ in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [e["error"]["kind"] for e in envelopes] == ["request"] * 8
+        assert len(loads) == 1  # single-flight memo fill
+
+    def test_unknown_dataset_keeps_its_envelope(self):
+        envelope = _service().handle(_request(dataset="census2020"))
+        assert envelope["error"] == {
+            "type": "DatasetError",
+            "kind": "infeasible",
+            "message": "unknown dataset 'census2020'; known datasets: "
+            "['adult', 'art', 'cmc']",
+        }
+        assert http_status(envelope) == 400
+
+    def test_load_runs_under_the_request_deadline(self, monkeypatch):
+        clock = FakeClock()
+        service = _service(
+            config=ServiceConfig(retry=_FAST_RETRY, breaker_threshold=1),
+            clock=clock,
+        )
+        service.breaker.record_failure()  # trips (threshold 1)
+        clock.advance(service.config.breaker_reset)
+        real = service_module.load_dataset
+
+        def slow_load(*args, **kwargs):
+            clock.advance(10.0)  # the load alone overruns the 5 s budget
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "load_dataset", slow_load)
+        late = service.handle(_request(timeout=5.0))  # claims the probe
+        assert late["status"] == "error"
+        assert late["error"]["type"] == "DeadlineExceeded"
+        assert service.breaker.state == "half-open"  # probe handed back
+
+        monkeypatch.setattr(service_module, "load_dataset", real)
+        fresh = service.handle(_request(timeout=5.0))
+        assert fresh["status"] == "ok"
+        assert service.breaker.state == "closed"
 
     def test_degradation_is_reported_never_silent(self):
         service = _service()
@@ -419,9 +529,13 @@ class TestService:
             "flat": _edu_table([]),
             "grouped": _edu_table([["hs", "college"]]),
         }
-        service = _service(
-            loader=lambda request: tables[request.dataset]
-        )
+        calls: list[str] = []
+
+        def loader(request: AnonymizeRequest) -> Table:
+            calls.append(request.dataset)
+            return tables[request.dataset]
+
+        service = _service(loader=loader)
         flat = service.handle(_request(dataset="flat", n=None, notion="k"))
         grouped = service.handle(
             _request(dataset="grouped", n=None, notion="k")
@@ -429,6 +543,10 @@ class TestService:
         assert flat["status"] == grouped["status"] == "ok"
         assert grouped["meta"]["cache_hit"] is False  # no QI-config collision
         assert len(service.cache) == 2
+
+        again = service.handle(_request(dataset="flat", n=None, notion="k"))
+        assert again["meta"]["cache_hit"] is True
+        assert calls == ["flat", "grouped", "flat"]  # custom loaders always load
 
     def test_breaker_open_sheds_with_retry_after(self):
         clock = FakeClock()

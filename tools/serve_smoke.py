@@ -13,7 +13,8 @@ invariants under injected faults; this script proves them across a
 3. restart on the same journal and re-drive the phase-A mix: every
    body hash must match byte-for-byte, and ``/metricz`` must show
    ``serve.execute.computed == 0`` — the restarted server recomputed
-   nothing;
+   nothing — and its span trace must show at most one ``datasets.load``
+   per distinct ``(dataset, n, seed)``: replayed hits never reload;
 4. the fsynced span trace (written through both lives of the server)
    must still convert to a well-formed Chrome ``traceEvents`` file.
 
@@ -38,7 +39,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from loadgen import run_load  # noqa: E402
+from repro.datasets import identity  # noqa: E402
 from repro.obs import load_trace, write_chrome_trace  # noqa: E402
+from repro.serve import request_mix  # noqa: E402
 
 REQUESTS = 50
 SEED = 0
@@ -153,9 +156,24 @@ def main() -> int:
             f"restarted server recomputed {computed} results"
         )
         second.kill()
+        tables = {
+            identity(request.dataset, request.n) + (request.seed,)
+            for request in request_mix(SEED, REQUESTS)
+        }
+        loads = sum(
+            1
+            for event in load_trace(trace)
+            if event["name"] == "datasets.load"
+            and event["pid"] == second.proc.pid
+        )
+        assert loads <= len(tables), (
+            f"restarted server loaded {loads} tables for "
+            f"{len(tables)} distinct (dataset, n, seed)"
+        )
         print(
             f"ok   phase C: recovered {second.recovered} bodies, "
-            f"{len(replayed)} responses byte-identical, 0 recomputed"
+            f"{len(replayed)} responses byte-identical, 0 recomputed, "
+            f"{loads} loads for {len(tables)} tables"
         )
 
         # Phase D: the trace survived both lives and converts cleanly.
