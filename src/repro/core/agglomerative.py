@@ -11,14 +11,17 @@ singletons.
 The paper's O(n²) bound is achieved by maintaining a full pairwise
 distance matrix plus per-row minima: each merge recomputes one row of
 distances (vectorized via the per-attribute join/cost tables) and rescans
-only the rows whose cached nearest neighbour was invalidated.
+only the rows whose cached nearest neighbour was invalidated.  That
+matrix costs O(n²) memory, so above :data:`DENSE_MAX_RECORDS` records
+the matrix-free engine of :mod:`repro.core.columnar` runs instead; it
+reproduces the dense engine's merge sequence bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import AUTO, resolve_backend
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
 from repro.errors import AnonymityError
@@ -26,15 +29,24 @@ from repro.measures.base import CostModel
 from repro.obs import count
 from repro.runtime import checkpoint
 
+#: Largest table the dense engine takes.  It needs about 35 B of peak
+#: RSS per record pair: 906 MB at n=5000 and 3,475 MB at n=10k.  Up to
+#: n=5000, the largest size measured on both, it is the faster engine.
+#: Above this only the matrix-free engine runs; it took 95 s and 62 MB
+#: on ADT at n=20k with LM on a 2-CPU box.  ``$REPRO_BACKEND`` overrides
+#: the choice (:mod:`repro.core.backend`).
+DENSE_MAX_RECORDS = 10_000
+
 
 class _Engine:
-    """Mutable state for one run of Algorithm 1/2.
+    """Mutable state for one run of Algorithm 1/2: the dense engine.
 
-    Subclass seam: :class:`repro.core.columnar._ColumnarEngine` inherits
-    the merge loop, shrink step and leftover distribution unchanged and
-    overrides only the distance bookkeeping (``_init_distances``,
+    Subclass seam: the matrix-free
+    :class:`repro.core.columnar._ColumnarEngine` inherits the merge
+    loop, shrink step and leftover distribution unchanged and overrides
+    only the distance bookkeeping (``_init_distances``,
     ``_refresh_row``, ``_rescan_row``, ``_deactivate``, ``_pair_value``)
-    with a matrix-free bucketed scheme that reproduces this engine's
+    with a bucketed scheme that reproduces this engine's
     ``row_min``/``row_arg`` state — and therefore its merge sequence —
     bit for bit.
     """
@@ -46,9 +58,9 @@ class _Engine:
     def _init_slots(
         self, model: CostModel, distance: ClusterDistance, k: int
     ) -> None:
-        """Allocate the per-slot cluster state shared by all backends.
+        """Allocate the per-slot cluster state both engines share.
 
-        Split from ``__init__`` so benchmarks (and the columnar
+        Split from ``__init__`` so benchmarks (and the matrix-free
         subclass) can build an engine at an arbitrary prepared state
         without paying for the dense all-pairs initialization.
         """
@@ -114,16 +126,15 @@ class _Engine:
     def _distances_from(self, x: int) -> np.ndarray:
         """Distance of cluster x to every slot (inf for inactive / self).
 
-        Joins and costs are evaluated for the *active* slots only: late
-        in a run most slots are retired, so the dense per-slot sweep of
+        Union costs are priced for the *active* slots only, with
+        :meth:`CostModel.join_costs`: late in a run most slots are
+        retired, so the dense per-slot sweep of
         :meth:`_distances_from_dense` wastes most of its work.  Both
         produce bit-identical rows (same element-wise operations on the
         same values); the dense form is kept as the benchmark reference.
         """
-        enc, model = self.enc, self.model
         act = np.flatnonzero(self.active)
-        union = enc.join_rows(self.nodes[act], self.nodes[x])
-        cost_union = model.record_cost(union)
+        cost_union = self.model.join_costs(self.nodes[act], self.nodes[x])
         d = self.distance.evaluate(
             self.sizes[x],
             self.costs[x],
@@ -375,16 +386,24 @@ class _Engine:
         # repro: allow[REP011] single post-merge pass distributing the < k leftover records
         for record in leftover:
             single = enc.singleton_nodes[record]
-            union = enc.join_rows(out_nodes, single)
-            cost_union = np.asarray(model.record_cost(union), dtype=np.float64)
+            cost_union = model.join_costs(out_nodes, single)
             dist = self.distance.evaluate(
                 1, 0.0, out_sizes, out_costs, cost_union
             )
             target = int(np.asarray(dist).argmin())
             self.output[target].append(record)
-            out_nodes[target] = union[target]
+            out_nodes[target] = enc.join_rows(out_nodes[target], single)
             out_sizes[target] += 1
             out_costs[target] = cost_union[target]
+
+
+def engine_for(n: int) -> str:
+    """The engine :func:`agglomerative_clustering` runs on ``n`` records:
+    ``"python"`` (dense) or ``"columnar"`` (matrix-free)."""
+    forced = resolve_backend(None)
+    if forced != AUTO:
+        return forced
+    return "columnar" if n > DENSE_MAX_RECORDS else "python"
 
 
 def agglomerative_clustering(
@@ -392,7 +411,6 @@ def agglomerative_clustering(
     k: int,
     distance: ClusterDistance,
     modified: bool = False,
-    backend: str | None = None,
 ) -> Clustering:
     """Run Algorithm 1 (or, with ``modified=True``, Algorithm 1+2).
 
@@ -407,13 +425,10 @@ def agglomerative_clustering(
     modified:
         Apply the Algorithm 2 shrink step to ripe clusters, keeping all
         final clusters at size exactly k where possible.
-    backend:
-        Execution backend (:data:`repro.core.backend.BACKENDS`):
-        ``"python"`` runs the dense-matrix reference engine,
-        ``"columnar"`` the bucketed matrix-free engine of
-        :mod:`repro.core.columnar`.  Both produce bit-identical
-        clusterings (same merge sequence, same tie-breaking); ``None``
-        resolves via :func:`repro.core.backend.resolve_backend`.
+
+    The dense engine runs up to :data:`DENSE_MAX_RECORDS` records and
+    the matrix-free engine above; both produce the same clustering
+    (same merge sequence, same tie-breaking).
 
     Returns
     -------
@@ -436,7 +451,7 @@ def agglomerative_clustering(
     # vectorized sweep; checkpoint before committing to it so a spent
     # deadline fails fast.
     checkpoint("core.agglomerative.init")
-    if resolve_backend(backend) == "columnar":
+    if engine_for(n) == "columnar":
         from repro.core.columnar import _ColumnarEngine
 
         return _ColumnarEngine(model, distance, k).run(modified)

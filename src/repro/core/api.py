@@ -32,7 +32,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.agglomerative import agglomerative_clustering
-from repro.core.backend import resolve_backend
 from repro.core.clustering import Clustering, clustering_to_nodes
 from repro.core.distances import ClusterDistance, get_distance
 from repro.core.forest import forest_clustering
@@ -65,11 +64,6 @@ class AnonymizationResult:
     elapsed_seconds: float  #: wall-clock time of the algorithm
     clustering: Clustering | None = None  #: for clustering-based notions
     stats: dict[str, Any] = field(default_factory=dict)  #: extra diagnostics
-    #: Execution backend that produced the result.  Deliberately a
-    #: separate field, NOT a ``stats`` entry: backends are bit-equivalent
-    #: and ``stats`` feeds deterministic outputs (service bodies, journal
-    #: rows) that must not vary with the execution strategy.
-    backend: str = "python"
 
     def verify(self, with_matches: bool | None = None) -> bool:
         """Re-check that the result satisfies its requested notion."""
@@ -115,7 +109,6 @@ def anonymize(
     modified: bool = False,
     expander: str = "expansion",
     encoded: EncodedTable | None = None,
-    backend: str | None = None,
 ) -> AnonymizationResult:
     """Anonymize ``table`` under the requested k-type notion.
 
@@ -147,14 +140,6 @@ def anonymize(
         (Algorithm 4) or ``"nearest"`` (Algorithm 3).
     encoded:
         Optional pre-built encoding of ``table`` to reuse across calls.
-    backend:
-        Execution backend, ``"python"`` or ``"columnar"``
-        (:data:`repro.core.backend.BACKENDS`); ``None`` resolves via
-        :func:`repro.core.backend.resolve_backend`.  Backends are
-        bit-equivalent — same generalization, same cost, same
-        tie-breaking — so this is purely a performance knob; the
-        resolved choice is recorded on
-        :attr:`AnonymizationResult.backend`.
 
     Returns
     -------
@@ -174,7 +159,6 @@ def anonymize(
         raise AnonymityError("the provided encoding belongs to a different table")
     measure_obj = _resolve_measure(measure)
     model = CostModel(enc, measure_obj)
-    backend = resolve_backend(backend)
 
     clustering: Clustering | None = None
     stats: dict[str, Any] = {}
@@ -185,7 +169,7 @@ def anonymize(
         if algo == "agglomerative":
             dist_obj = _resolve_distance(distance)
             clustering = agglomerative_clustering(
-                model, k, dist_obj, modified=modified, backend=backend
+                model, k, dist_obj, modified=modified
             )
             algo_name = (
                 f"agglomerative[{dist_obj.name}"
@@ -223,24 +207,22 @@ def anonymize(
             stats["num_clusters"] = clustering.num_clusters
     elif notion == "k1":
         if expander == "expansion":
-            node_matrix = k1_expansion(model, k, backend=backend)
+            node_matrix = k1_expansion(model, k)
         elif expander == "nearest":
-            node_matrix = k1_nearest_neighbors(model, k, backend=backend)
+            node_matrix = k1_nearest_neighbors(model, k)
         else:
             raise AnonymityError(
                 f"unknown expander {expander!r}; expected 'expansion' or 'nearest'"
             )
         algo_name = f"k1[{expander}]"
     elif notion == "1k":
-        node_matrix = one_k_anonymize(
-            model, enc.singleton_nodes, k, backend=backend
-        )
+        node_matrix = one_k_anonymize(model, enc.singleton_nodes, k)
         algo_name = "alg5"
     elif notion == "kk":
-        node_matrix = kk_anonymize(model, k, expander=expander, backend=backend)
+        node_matrix = kk_anonymize(model, k, expander=expander)
         algo_name = f"kk[{expander}+alg5]"
     else:  # global (1,k)
-        kk_nodes = kk_anonymize(model, k, expander=expander, backend=backend)
+        kk_nodes = kk_anonymize(model, k, expander=expander)
         node_matrix, conv = global_one_k_anonymize(model, kk_nodes, k)
         algo_name = f"global[{expander}+alg5+alg6]"
         stats["conversion_passes"] = conv.passes
@@ -264,5 +246,4 @@ def anonymize(
         elapsed_seconds=elapsed,
         clustering=clustering,
         stats=stats,
-        backend=backend,
     )

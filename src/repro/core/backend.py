@@ -1,93 +1,73 @@
-"""Backend selection for the algorithmic core.
+"""The process-wide override of the agglomerative engine choice.
 
-Two execution backends implement the paper's algorithms:
+:func:`repro.core.agglomerative.agglomerative_clustering` picks its
+engine by table size: the dense-matrix engine up to
+:data:`~repro.core.agglomerative.DENSE_MAX_RECORDS` records, the
+matrix-free engine of :mod:`repro.core.columnar` above.  The two are
+bit-identical (same merge sequence, same tie-breaking), so the choice
+changes speed and memory, never a result.
 
-``"python"``
-    The seed-era engines: per-slot NumPy rows, a dense O(n²) distance
-    matrix for the agglomerative family.  Always available, always the
-    reference for differential testing.
-``"columnar"``
-    The bucketed/columnar engines of :mod:`repro.core.columnar`:
-    cluster-feature bucketing over the generalization lattice, fused
-    join/cost gather tables, and certified candidate pruning.  Requires
-    NumPy; produces **bit-identical** outputs (same merge sequence,
-    same tie-breaking) — the property the differential fuzz harness and
-    :func:`repro.perf.equivalence.check_backend_equivalence` enforce.
-
-This module is deliberately NumPy-free at import time: it is the one
-place the package probes for the accelerator, so the probe itself must
-work on an interpreter without NumPy.  When NumPy is absent,
-:func:`resolve_backend` degrades a ``"columnar"`` request gracefully to
-``"python"`` instead of failing — backend choice is a performance
-preference, never a correctness knob.
-
-The default may be steered per-process with the ``REPRO_BACKEND``
-environment variable; explicit arguments always win.
+The ``REPRO_BACKEND`` environment variable forces one engine for the
+whole process: ``python`` the dense one, ``columnar`` the matrix-free
+one.  It exists so that equivalence checks can run each engine where
+the size rule would pick the other; no option of the library, the CLI
+or the service sets it.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.errors import ReproError
 
-#: Recognized backend names, reference implementation first.
+#: Engines the override can force, dense-matrix engine first.
 BACKENDS: tuple[str, ...] = ("python", "columnar")
 
-#: Backend used when the caller does not choose one.
-DEFAULT_BACKEND = "python"
+#: What :func:`resolve_backend` reports when no engine is forced: the
+#: size rule decides.
+AUTO = "auto"
 
-#: Environment variable consulted when no backend is passed explicitly.
+#: Environment variable that forces an engine.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-_available: bool | None = None
 
+def resolve_backend(backend: str | None = None) -> str:
+    """The engine forced for this process, or :data:`AUTO`.
 
-def columnar_available() -> bool:
-    """Whether the columnar backend can run in this interpreter.
-
-    True iff NumPy is importable.  The probe uses
-    :func:`importlib.util.find_spec` so merely *asking* never imports
-    NumPy; the answer is cached for the life of the process.
-    """
-    global _available
-    if _available is None:
-        if "numpy" in sys.modules:
-            # repro: allow[REP010] idempotent availability cache; every process converges to the same answer
-            _available = True
-        else:
-            try:
-                # repro: allow[REP010] idempotent availability cache; every process converges to the same answer
-                _available = importlib.util.find_spec("numpy") is not None
-            except (ImportError, ValueError):
-                # repro: allow[REP010] idempotent availability cache; every process converges to the same answer
-                _available = False
-    return _available
-
-
-def backend_names() -> list[str]:
-    """All recognized backend names (for CLI choices and docs)."""
-    return list(BACKENDS)
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Normalize a backend request to a runnable backend name.
-
-    ``None`` consults :data:`BACKEND_ENV_VAR` and falls back to
-    :data:`DEFAULT_BACKEND`.  Unknown names raise :class:`ReproError`
-    (misspelling a backend should never silently change performance).
-    A ``"columnar"`` request on an interpreter without NumPy resolves
-    to ``"python"`` — graceful degradation, identical outputs.
+    ``None`` reads :data:`BACKEND_ENV_VAR`; an unset or empty variable
+    means :data:`AUTO`.  Unknown names raise :class:`ReproError`: a
+    misspelt override must not silently leave the size rule in charge.
     """
     if backend is None:
-        # repro: allow[REP004] documented steering knob; backends are bit-equivalent so outputs never depend on it
-        backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if backend not in BACKENDS:
+        # repro: allow[REP004] engine override; the engines are bit-identical so outputs never depend on it
+        backend = os.environ.get(BACKEND_ENV_VAR) or AUTO
+    if backend != AUTO and backend not in BACKENDS:
         raise ReproError(
             f"unknown backend {backend!r}; known backends: {list(BACKENDS)}"
         )
-    if backend == "columnar" and not columnar_available():
-        return "python"
     return backend
+
+
+@contextmanager
+def forced_backend(backend: str) -> Iterator[None]:
+    """Force ``backend`` through :data:`BACKEND_ENV_VAR` inside the block.
+
+    For the equivalence checks of :mod:`repro.perf.equivalence` and
+    :mod:`repro.verify.differential` only, which run one input under
+    both engines in one process.  The previous value is restored on
+    exit.
+    """
+    resolve_backend(backend)
+    # repro: allow[REP004] engine override; the engines are bit-identical so outputs never depend on it
+    env = os.environ
+    previous = env.get(BACKEND_ENV_VAR)
+    env[BACKEND_ENV_VAR] = backend
+    try:
+        yield
+    finally:
+        if previous is None:
+            env.pop(BACKEND_ENV_VAR, None)
+        else:
+            env[BACKEND_ENV_VAR] = previous

@@ -1,11 +1,12 @@
-"""The columnar backend: bucketed, matrix-free agglomerative engine
-plus fused join/cost kernels for the (k,1)/(k,k) family.
+"""The matrix-free agglomerative engine.
 
-Selected via ``backend="columnar"`` (:mod:`repro.core.backend`).  The
-contract is strict **bit-equivalence**: every algorithm ported here must
-reproduce the pure-Python reference *exactly* — same outputs, same
-tie-breaking, same merge sequence — which the differential fuzz harness
-and :func:`repro.perf.equivalence.check_backend_equivalence` enforce.
+:func:`repro.core.agglomerative.agglomerative_clustering` runs it above
+:data:`~repro.core.agglomerative.DENSE_MAX_RECORDS` records, where the
+dense engine's n×n matrix no longer fits (``$REPRO_BACKEND=columnar``
+forces it at any size).  The contract is strict **bit-equivalence**
+with the dense engine — same outputs, same tie-breaking, same merge
+sequence — which the differential fuzz harness and
+:func:`repro.perf.equivalence.check_backend_equivalence` enforce.
 
 Agglomerative engine (:class:`_ColumnarEngine`)
 -----------------------------------------------
@@ -18,14 +19,15 @@ A per-merge scan costs O(B·r + n) instead of O(n·r), where B is the
 number of distinct cluster features — and B collapses fast once merging
 coarsens closures (≈100 buckets for thousands of clusters on the
 paper's data).  No n×n matrix is ever allocated, which is what admits
-the 10k/50k/100k n-grid.
+tables beyond the dense engine's reach.
 
 Bit-equivalence argument (the invariants the tests pin):
 
 * **Costs.**  ``CostModel.record_cost`` accumulates per-attribute costs
-  in attribute order and divides once; the bucket-level evaluation uses
-  the same call on representative rows, so every ``cost_union`` float
-  is produced by the identical operation sequence.
+  in attribute order and divides once; the bucket-level evaluation
+  prices unions with ``CostModel.join_costs``, which performs the same
+  additions in the same order, so every ``cost_union`` float is
+  produced by the identical operation sequence.
 * **Values.**  Distance functions are element-wise; evaluating one
   representative per bucket and broadcasting to slots yields bitwise
   the numbers the reference computes per slot.
@@ -64,14 +66,6 @@ never exceeds the exact distance, bitwise.  A bucket is then skipped
 When the bound cannot certify — non-monotone measure (entropy), or a
 distance that does not declare monotonicity — the engine falls back to
 the full bucket scan: still O(B·r), never approximate.
-
-Fused kernels (:class:`FusedJoinCost`)
---------------------------------------
-The (k,1) algorithms spend their time in ``join_rows`` + ``record_cost``
-pairs.  ``F_j[a, b] = node_costs_j[join_j[a, b]]`` fuses the two table
-lookups into one gather per attribute; accumulation order matches
-``record_cost``, so the resulting cost vectors are bit-identical while
-skipping the materialized union matrix.
 """
 
 from __future__ import annotations
@@ -83,7 +77,7 @@ from repro.measures.base import CostModel
 from repro.obs import count
 from repro.runtime import checkpoint
 
-__all__ = ["FusedJoinCost", "union_cost_lower_bound"]
+__all__ = ["union_cost_lower_bound"]
 
 
 def union_cost_lower_bound(
@@ -100,45 +94,6 @@ def union_cost_lower_bound(
     return np.maximum(cost_a, cost_b)
 
 
-class FusedJoinCost:
-    """Fused per-attribute ``join → node-cost`` gather tables.
-
-    ``pair_costs(nodes_a, node_b)`` returns exactly
-    ``model.record_cost(enc.join_rows(nodes_a, node_b))`` — same floats,
-    same accumulation order — via one linearized gather over every
-    attribute's fused table at once instead of two gathers per
-    attribute and a materialized union matrix.  The per-attribute
-    accumulation stays an explicit sequential loop: ``record_cost``
-    adds attribute terms left to right, and a vectorized ``sum`` would
-    reassociate the additions for wide schemas.
-    """
-
-    __slots__ = ("_flat", "_scale", "_offset", "_r")
-
-    def __init__(self, model: CostModel) -> None:
-        enc = model.enc
-        tables = [
-            model.node_costs[j][att.join] for j, att in enumerate(enc.attrs)
-        ]
-        self._r = enc.num_attributes
-        # Entry (a, b) of attribute j's table lives at
-        # offset[j] + a * scale[j] + b of the flattened concatenation.
-        self._scale = np.array([t.shape[1] for t in tables], dtype=np.int64)
-        sizes = np.array([t.size for t in tables], dtype=np.int64)
-        self._offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self._flat = np.concatenate([t.ravel() for t in tables])
-
-    def pair_costs(self, nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
-        """Union record costs of every row of ``nodes_a`` with ``node_b``."""
-        lin = nodes_a * self._scale + (self._offset + node_b)
-        picked = self._flat[lin]
-        total = np.zeros(nodes_a.shape[0], dtype=np.float64)
-        # repro: allow[REP011] bounded by the attribute count r; sequential accumulation is the bit-equivalence contract
-        for j in range(self._r):
-            total += picked[:, j]
-        return total / self._r
-
-
 class _ColumnarEngine(_Engine):
     """Bucketed matrix-free engine, bit-equivalent to :class:`_Engine`.
 
@@ -152,7 +107,7 @@ class _ColumnarEngine(_Engine):
 
     #: Minimum live-bucket count before a scan engages the pruning
     #: machinery.  Below it the bound/push-bound bookkeeping costs more
-    #: than the single fused sweep it would save, so the scan evaluates
+    #: than the single sweep it would save, so the scan evaluates
     #: every candidate bucket directly.  Outputs are bit-identical
     #: either way — the bound only ever *skips* evaluations whose value
     #: could not change the row minimum or trigger a push; it never
@@ -170,7 +125,6 @@ class _ColumnarEngine(_Engine):
         self.prune_enabled = bool(
             self.model.measure.monotone and self.distance.monotone_in_union
         )
-        self._fused = FusedJoinCost(self.model)
         self._bucket_ids: dict[bytes, int] = {}
         cap = 16
         self._bnodes = np.zeros((cap, r), dtype=np.int32)
@@ -273,8 +227,7 @@ class _ColumnarEngine(_Engine):
         first = np.array([m[0] for m in members], dtype=np.int64)
         for a in range(u):
             checkpoint("core.agglomerative.init")
-            union = enc.join_rows(bnodes, bnodes[a])
-            cu = np.asarray(model.record_cost(union), dtype=np.float64)
+            cu = model.join_costs(bnodes, bnodes[a])
             d = np.asarray(
                 self.distance.evaluate(
                     bsizes[a], bcosts[a], bsizes, bcosts, cu
@@ -418,12 +371,11 @@ class _ColumnarEngine(_Engine):
         bc = self._bcosts[cand]
         size_x, cost_x = self.sizes[x], self.costs[x]
         node_x = self.nodes[x]
-        fused = self._fused
 
         if self.prune_enabled and cand.size >= self.prune_min_buckets:
 
             def exact_of(idx: np.ndarray) -> np.ndarray:
-                cu = fused.pair_costs(bn[idx], node_x)
+                cu = model.join_costs(bn[idx], node_x)
                 return np.asarray(
                     self.distance.evaluate(
                         size_x, cost_x, bs[idx], bc[idx], cu
@@ -442,9 +394,9 @@ class _ColumnarEngine(_Engine):
             val, _ = self._evaluate_buckets(lb, need, exact_of, prune=True)
         else:
             # Below prune_min_buckets (or with no certified bound) one
-            # fused sweep over every candidate bucket is cheaper than
-            # the bound bookkeeping; values are identical either way.
-            cu = fused.pair_costs(bn, node_x)
+            # sweep over every candidate bucket is cheaper than the
+            # bound bookkeeping; values are identical either way.
+            cu = model.join_costs(bn, node_x)
             val = np.asarray(
                 self.distance.evaluate(size_x, cost_x, bs, bc, cu),
                 dtype=np.float64,
@@ -480,7 +432,7 @@ class _ColumnarEngine(_Engine):
         (bucket, newer-than-x) and each group is evaluated from its
         recorded side.
         """
-        enc, model = self.enc, self.model
+        model = self.model
         n = self.active.size
         dist = np.full(n, np.inf, dtype=np.float64)
         act = np.flatnonzero(self.active)
@@ -524,8 +476,7 @@ class _ColumnarEngine(_Engine):
             return out
 
         def exact_of(idx: np.ndarray) -> np.ndarray:
-            union = enc.join_rows(bn[idx], self.nodes[x])
-            cu = np.asarray(model.record_cost(union), dtype=np.float64)
+            cu = model.join_costs(bn[idx], self.nodes[x])
             return side_eval(gs[idx], bs[idx], bc[idx], cu)
 
         use_prune = (
@@ -594,8 +545,7 @@ class _ColumnarEngine(_Engine):
             a, b = y, x
         else:
             a, b = x, y
-        union = self.enc.join_rows(self.nodes[b][None, :], self.nodes[a])
-        cu = np.asarray(self.model.record_cost(union), dtype=np.float64)
+        cu = self.model.join_costs(self.nodes[b][None, :], self.nodes[a])
         d = np.asarray(
             self.distance.evaluate(
                 self.sizes[a],

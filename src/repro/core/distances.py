@@ -38,9 +38,9 @@ class ClusterDistance(ABC):
     #: fixed sizes/costs, *as floating-point code* (every operation
     #: applied to ``cost_union`` is a round-to-nearest-monotone map:
     #: multiply/divide by a positive constant, subtract a constant).
-    #: The columnar backend's candidate pruning is only certified for
-    #: distances that declare this; unknown subclasses default to
-    #: ``False`` and fall back to the full bucket scan.
+    #: The matrix-free agglomerative engine's candidate pruning is only
+    #: certified for distances that declare this; unknown subclasses
+    #: default to ``False`` and fall back to the full bucket scan.
     monotone_in_union: bool = False
 
     @abstractmethod

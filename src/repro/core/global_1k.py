@@ -128,10 +128,9 @@ def global_one_k_anonymize(
                 )
             cand = np.asarray(candidates, dtype=np.int64)
             # d_h = c(R_jh + R̄_i) − c(R̄_i), R_jh the original record j_h.
-            union = enc.join_rows(enc.singleton_nodes[cand], nodes[i])
-            cost_new = np.asarray(model.record_cost(union), dtype=np.float64)
+            cost_new = model.join_costs(enc.singleton_nodes[cand], nodes[i])
             h = int(cost_new.argmin())  # c(R̄_i) is constant; min d_h = min c
-            nodes[i] = union[h]
+            nodes[i] = enc.join_rows(enc.singleton_nodes[cand[h]], nodes[i])
             stats.fixes += 1
     else:
         raise AnonymityError(

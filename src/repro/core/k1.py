@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
@@ -36,43 +35,12 @@ def _check_k(model: CostModel, k: int) -> None:
         raise AnonymityError(f"k={k} exceeds the number of records n={n}")
 
 
-def _pair_cost_kernel(model: CostModel, backend: str | None):
-    """Cost-of-union kernel: ``f(nodes_a, node_b) -> record costs``.
-
-    The python backend materializes the union rows and prices them
-    (``join_rows`` + ``record_cost``); the columnar backend uses the
-    fused join→cost gather tables of
-    :class:`repro.core.columnar.FusedJoinCost`.  Both produce
-    bit-identical cost vectors (same lookups, same accumulation order).
-    """
-    if resolve_backend(backend) == "columnar":
-        from repro.core.columnar import FusedJoinCost
-
-        fused = FusedJoinCost(model)
-
-        def kernel(nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
-            return fused.pair_costs(nodes_a, node_b)
-
-        return kernel
-    enc = model.enc
-
-    def kernel(nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
-        union = enc.join_rows(nodes_a, node_b)
-        return np.asarray(model.record_cost(union), dtype=np.float64)
-
-    return kernel
-
-
-def k1_nearest_neighbors(
-    model: CostModel, k: int, backend: str | None = None
-) -> np.ndarray:
+def k1_nearest_neighbors(model: CostModel, k: int) -> np.ndarray:
     """Algorithm 3: join each record with its k−1 nearest records.
 
     "Nearest" is measured by the pairwise generalization cost
     d({R_i, R_j}) (line 1 of Algorithm 3); ties break on row order, and
     duplicate rows are free nearest neighbours (pair cost 0).
-    ``backend`` selects the scan kernel (:func:`_pair_cost_kernel`);
-    the output is backend-independent, bit for bit.
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
@@ -86,12 +54,11 @@ def k1_nearest_neighbors(
     counts = enc.unique_counts
     u = enc.num_unique
     unique_result = np.empty_like(u_nodes)
-    pair_costs = _pair_cost_kernel(model, backend)
 
     for a in range(u):
         checkpoint("core.k1.row")
         # closure({row_a, row_b}) costs against every unique row
-        pair_cost = np.asarray(pair_costs(u_nodes, u_nodes[a]), dtype=np.float64)
+        pair_cost = model.join_costs(u_nodes, u_nodes[a])
         order = np.argsort(pair_cost, kind="stable")
 
         closure = u_nodes[a].copy()
@@ -117,19 +84,16 @@ def k1_nearest_neighbors(
     return unique_result[enc.unique_inverse]
 
 
-def k1_expansion(
-    model: CostModel, k: int, backend: str | None = None
-) -> np.ndarray:
+def k1_expansion(model: CostModel, k: int) -> np.ndarray:
     """Algorithm 4: grow each record's set greedily by cheapest increment.
 
     At every step the candidate minimizing d(S ∪ {R_j}) − d(S) is added
     (first-index tie-break over unique rows).  Note the increment may be
     negative under the entropy measure — generalizing into a subset
     dominated by a frequent value can *reduce* conditional entropy — so
-    the argmin is re-evaluated from scratch every step.  Under the
-    columnar backend the scan prices candidate unions via the fused
-    gather tables and materializes only the union row actually chosen;
-    the chosen indices and output are bit-identical.
+    the argmin is re-evaluated from scratch every step.  The scan
+    prices candidate unions with :meth:`CostModel.join_costs` and
+    materializes only the union row actually chosen.
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
@@ -142,8 +106,6 @@ def k1_expansion(
     counts = enc.unique_counts
     u = enc.num_unique
     unique_result = np.empty_like(u_nodes)
-    columnar = resolve_backend(backend) == "columnar"
-    pair_costs = _pair_cost_kernel(model, backend)
 
     for a in range(u):
         checkpoint("core.k1.row")
@@ -154,14 +116,7 @@ def k1_expansion(
         size = 1
         while size < k:
             checkpoint("core.k1.grow")
-            if columnar:
-                cost_union = pair_costs(u_nodes, cur)  # [u]
-                union = None
-            else:
-                union = enc.join_rows(u_nodes, cur)  # [u, r]
-                cost_union = np.asarray(
-                    model.record_cost(union), dtype=np.float64
-                )
+            cost_union = model.join_costs(u_nodes, cur)  # [u]
             delta = cost_union - cur_cost
             delta[remaining <= 0] = np.inf
             b = int(delta.argmin())
@@ -169,10 +124,7 @@ def k1_expansion(
                 raise AnonymityError(
                     "internal error: fewer than k records available"
                 )
-            if union is None:
-                cur = enc.join_rows(u_nodes[b][None, :], cur)[0]
-            else:
-                cur = union[b]
+            cur = enc.join_rows(u_nodes[b], cur)
             cur_cost = float(cost_union[b])
             remaining[b] -= 1
             size += 1

@@ -57,12 +57,7 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
         checkpoint("core.kmember.cluster")
         candidates = np.flatnonzero(unassigned)
         # Seed: the unassigned record furthest from the previous anchor.
-        pair_costs = np.asarray(
-            model.record_cost(
-                enc.join_rows(singletons[candidates], anchor_nodes)
-            ),
-            dtype=np.float64,
-        )
+        pair_costs = model.join_costs(singletons[candidates], anchor_nodes)
         seed = int(candidates[int(pair_costs.argmax())])
         members = [seed]
         unassigned[seed] = False
@@ -70,13 +65,12 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
         cur_cost = float(model.record_cost(cur))
         while len(members) < k:
             candidates = np.flatnonzero(unassigned)
-            union = enc.join_rows(singletons[candidates], cur)
-            costs = np.asarray(model.record_cost(union), dtype=np.float64)
+            costs = model.join_costs(singletons[candidates], cur)
             pick = int(costs.argmin())
             chosen = int(candidates[pick])
             members.append(chosen)
             unassigned[chosen] = False
-            cur = union[pick]
+            cur = enc.join_rows(singletons[chosen], cur)
             cur_cost = float(costs[pick])
         clusters.append(members)
         anchor_nodes = cur
@@ -94,11 +88,12 @@ def kmember_clustering(model: CostModel, k: int) -> Clustering:
         )
         # repro: allow[REP011] distributes the < k leftover records after the checkpointed clustering loop
         for record in leftover:
-            union = enc.join_rows(closure_nodes, singletons[record])
-            costs = np.asarray(model.record_cost(union), dtype=np.float64)
+            costs = model.join_costs(closure_nodes, singletons[record])
             delta = costs - closure_costs
             target = int(delta.argmin())
             clusters[target].append(record)
-            closure_nodes[target] = union[target]
+            closure_nodes[target] = enc.join_rows(
+                closure_nodes[target], singletons[record]
+            )
             closure_costs[target] = costs[target]
     return Clustering(n, clusters)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
-from repro.core.k1 import _pair_cost_kernel
 from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.runtime import checkpoint
@@ -31,7 +29,6 @@ def one_k_anonymize(
     node_matrix: np.ndarray,
     k: int,
     join_with: str = "generalized",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Run Algorithm 5; returns a new node matrix, input left untouched.
 
@@ -52,11 +49,10 @@ def one_k_anonymize(
         with R_i and also preserves (k,1), and is usually — though not
         always, because candidate selection interacts across records —
         slightly cheaper overall).
-    backend:
-        ``"columnar"`` prices candidate unions through the fused
-        join→cost tables and materializes union rows only for the
-        ``k − ℓ`` records actually replaced; output is bit-identical
-        to the python backend.
+
+    Candidate unions are priced with :meth:`CostModel.join_costs`;
+    union rows are materialized only for the ``k − ℓ`` records
+    actually replaced.
 
     Raises
     ------
@@ -87,9 +83,6 @@ def one_k_anonymize(
                 f"generalized record {i} does not generalize original record {i}"
             )
 
-    columnar = resolve_backend(backend) == "columnar"
-    pair_costs = _pair_cost_kernel(model, backend)
-
     for i in range(n):
         checkpoint("core.one_k.record")
         consistent = enc.consistency_mask(i, nodes)
@@ -98,20 +91,12 @@ def one_k_anonymize(
             continue
         candidates = np.flatnonzero(~consistent)
         anchor = nodes[i] if join_with == "generalized" else enc.singleton_nodes[i]
-        if columnar:
-            union = None
-            cost_new = pair_costs(nodes[candidates], anchor)
-        else:
-            union = enc.join_rows(nodes[candidates], anchor)
-            cost_new = np.asarray(model.record_cost(union), dtype=np.float64)
+        cost_new = model.join_costs(nodes[candidates], anchor)
         cost_old = np.asarray(
             model.record_cost(nodes[candidates]), dtype=np.float64
         )
         delta = cost_new - cost_old
         order = np.argsort(delta, kind="stable")[: k - ell]
         chosen = candidates[order]
-        if union is None:
-            nodes[chosen] = enc.join_rows(nodes[chosen], anchor)
-        else:
-            nodes[chosen] = union[order]
+        nodes[chosen] = enc.join_rows(nodes[chosen], anchor)
     return nodes

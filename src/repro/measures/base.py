@@ -131,7 +131,7 @@ class CostModel:
         algorithm transparently optimizes the weighted objective.
     """
 
-    __slots__ = ("enc", "measure", "node_costs", "weights")
+    __slots__ = ("enc", "measure", "node_costs", "weights", "_join_tables")
 
     def __init__(
         self,
@@ -169,6 +169,7 @@ class CostModel:
                 )
             costs.append(vec * scale[j])
         self.node_costs: tuple[np.ndarray, ...] = tuple(costs)
+        self._join_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # cost queries
@@ -189,6 +190,39 @@ class CostModel:
         total = np.zeros(nodes.shape[:-1], dtype=np.float64)
         for j in range(r):
             total += self.node_costs[j][nodes[..., j]]
+        return total / r
+
+    def join_costs(self, nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
+        """Union record costs of every row of ``nodes_a`` with ``node_b``.
+
+        Exactly ``record_cost(enc.join_rows(nodes_a, node_b))`` — same
+        floats, same accumulation order — without materializing the
+        union rows: attribute j's fused table maps a node pair straight
+        to ``node_costs[j][join_j[a, b]]``, and one linearized gather
+        reads every attribute's entry at once.  The tables are built on
+        first use.  Every candidate-union scan in :mod:`repro.core`
+        prices through this method.
+        """
+        if self._join_tables is None:
+            tables = [
+                self.node_costs[j][att.join]
+                for j, att in enumerate(self.enc.attrs)
+            ]
+            # Entry (a, b) of attribute j's table lives at
+            # offset[j] + a * scale[j] + b of the flattened concatenation.
+            scale = np.array([t.shape[1] for t in tables], dtype=np.int64)
+            sizes = np.array([t.size for t in tables], dtype=np.int64)
+            offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            flat = np.concatenate([t.ravel() for t in tables])
+            self._join_tables = (flat, scale, offset)
+        flat, scale, offset = self._join_tables
+        picked = flat[np.asarray(nodes_a) * scale + (offset + node_b)]
+        r = len(self.node_costs)
+        total = np.zeros(picked.shape[0], dtype=np.float64)
+        # Sequential, like record_cost: a vectorized sum would
+        # reassociate the additions for wide schemas.
+        for j in range(r):
+            total += picked[:, j]
         return total / r
 
     def table_cost(self, node_matrix: np.ndarray) -> float:

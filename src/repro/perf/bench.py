@@ -382,7 +382,7 @@ def _clustered_engine(n: int, columnar: bool) -> tuple[_Engine, list[int]]:
     collapses the surviving clusters onto few generalization-lattice
     nodes — the steady-state regime the columnar bucketing exploits
     (singleton *init* is a different, already-benchmarked story).  Both
-    backends receive identical slot state, so the pair times nothing
+    engines receive identical slot state, so the pair times nothing
     but the candidate scan itself.
     """
     from repro.core.columnar import _ColumnarEngine

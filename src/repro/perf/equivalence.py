@@ -24,6 +24,7 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
+from repro.core.backend import BACKENDS, forced_backend
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.perf.parallel import run_parallel
@@ -142,51 +143,43 @@ def _first_journal_divergence(
 def check_backend_equivalence(
     config: ExperimentConfig | None = None,
     keys: Sequence[RunKey] | None = None,
-    backends: Sequence[str] = ("python", "columnar"),
     work_dir: str | Path | None = None,
 ) -> list[Violation]:
-    """Run ``keys`` under every backend; report every divergence.
+    """Run ``keys`` once per agglomerative engine; report every divergence.
 
-    Because :class:`RunKey` (and hence the journal identity) carries no
-    backend — backends are bit-equivalent by contract — the strongest
-    possible statement is that runs differing *only* in
-    ``config.backend`` produce byte-identical canonical journals: same
-    cells, same order, same costs, same extra diagnostics, same
-    tie-breaking wherever a tie influences a recorded number.  That is
-    exactly what this check demands, per-cell first (for pinpointed
-    findings) and then on the full journal.
+    Each run forces its agglomerative engine through
+    ``$REPRO_BACKEND`` (:func:`repro.core.backend.forced_backend`).
+    :class:`RunKey` (and hence the journal identity) carries no engine
+    — the engines are bit-equivalent by contract — so the strongest
+    possible statement is that the runs produce byte-identical
+    canonical journals: same cells, same order, same costs, same extra
+    diagnostics, same tie-breaking wherever a tie influences a recorded
+    number.  That is exactly what this check demands, per-cell first
+    (for pinpointed findings) and then on the full journal.
 
-    When a requested backend resolves to another (columnar without
-    NumPy), the comparison degenerates to reference-vs-reference and
-    passes vacuously — graceful degradation is not a finding.
-
-    An empty return means the backends are equivalent on this grid.
+    An empty return means the engines are equivalent on this grid.
     """
-    from dataclasses import replace
-
     config = config or ExperimentConfig()
     if keys is None:
         keys = plan_cells(config)
     keys = list(keys)
-    backends = list(backends)
-    reference = backends[0]
+    reference, *others = BACKENDS
     violations: list[Violation] = []
 
     with tempfile.TemporaryDirectory(dir=work_dir) as tmp:
         runs: dict[str, ExperimentRunner] = {}
         journals: dict[str, Journal] = {}
-        for backend in backends:
+        for backend in BACKENDS:
             journal = Journal(Path(tmp) / f"{backend}.jsonl")
-            runner = ExperimentRunner(
-                replace(config, backend=backend), journal=journal
-            )
-            for key in keys:
-                runner.run_key(key)
+            runner = ExperimentRunner(config, journal=journal)
+            with forced_backend(backend):
+                for key in keys:
+                    runner.run_key(key)
             runs[backend] = runner
             journals[backend] = journal
 
         ref_runner = runs[reference]
-        for backend in backends[1:]:
+        for backend in others:
             other = runs[backend]
             for key in keys:
                 if not other.has(key):

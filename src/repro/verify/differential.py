@@ -27,14 +27,14 @@ instances through this runner against the untouched slow oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.core.agglomerative import agglomerative_clustering
+from repro.core.agglomerative import agglomerative_clustering, engine_for
 from repro.core.api import anonymize
-from repro.core.backend import resolve_backend
+from repro.core.backend import forced_backend
 from repro.core.clustering import Clustering, clustering_to_nodes
 from repro.core.datafly import datafly
 from repro.core.distances import get_distance
@@ -80,10 +80,11 @@ class AlgorithmSpec:
         repr=False
     )
     requires_laminar: bool = False  #: skip on non-laminar schemas
-    #: The runner honours ``cfg.backend``.  Backend-aware algorithms are
-    #: executed under *both* backends per case and must produce
-    #: bit-identical node matrices (``backend.divergence`` otherwise).
-    backend_aware: bool = False
+    #: The runner drives the agglomerative engine, which has a dense and
+    #: a matrix-free form.  Such algorithms are executed under *both*
+    #: engines per case and must produce bit-identical node matrices
+    #: (``backend.divergence`` otherwise).
+    two_engines: bool = False
 
 
 def _clustered(model: CostModel, clustering: Clustering) -> AlgorithmOutput:
@@ -101,7 +102,6 @@ def _run_agglomerative(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput
             cfg.k,
             get_distance(cfg.distance),
             modified=cfg.modified,
-            backend=cfg.backend,
         ),
     )
 
@@ -128,7 +128,6 @@ def _run_blocked(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
             get_distance(cfg.distance),
             block_size=block_size,
             modified=cfg.modified,
-            backend=cfg.backend,
         ),
     )
 
@@ -138,50 +137,44 @@ def _run_datafly(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
 
 
 def _run_k1_nearest(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
-    return AlgorithmOutput(
-        nodes=k1_nearest_neighbors(model, cfg.k, backend=cfg.backend)
-    )
+    return AlgorithmOutput(nodes=k1_nearest_neighbors(model, cfg.k))
 
 
 def _run_k1_expansion(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
-    return AlgorithmOutput(nodes=k1_expansion(model, cfg.k, backend=cfg.backend))
+    return AlgorithmOutput(nodes=k1_expansion(model, cfg.k))
 
 
 def _run_one_k(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
     return AlgorithmOutput(
-        nodes=one_k_anonymize(
-            model, model.enc.singleton_nodes, cfg.k, backend=cfg.backend
-        )
+        nodes=one_k_anonymize(model, model.enc.singleton_nodes, cfg.k)
     )
 
 
 def _run_kk(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
     return AlgorithmOutput(
-        nodes=kk_anonymize(
-            model, cfg.k, expander=cfg.expander, backend=cfg.backend
-        )
+        nodes=kk_anonymize(model, cfg.k, expander=cfg.expander)
     )
 
 
 def _run_global(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
-    base = kk_anonymize(model, cfg.k, expander=cfg.expander, backend=cfg.backend)
+    base = kk_anonymize(model, cfg.k, expander=cfg.expander)
     nodes, _ = global_one_k_anonymize(model, base, cfg.k)
     return AlgorithmOutput(nodes=nodes)
 
 
 #: Every registered algorithm, in execution order.
 REGISTRY: tuple[AlgorithmSpec, ...] = (
-    AlgorithmSpec("agglomerative", "k", _run_agglomerative, backend_aware=True),
+    AlgorithmSpec("agglomerative", "k", _run_agglomerative, two_engines=True),
     AlgorithmSpec("forest", "k", _run_forest),
     AlgorithmSpec("mondrian", "k", _run_mondrian),
     AlgorithmSpec("kmember", "k", _run_kmember),
-    AlgorithmSpec("blocked", "k", _run_blocked, backend_aware=True),
+    AlgorithmSpec("blocked", "k", _run_blocked, two_engines=True),
     AlgorithmSpec("datafly", "k", _run_datafly, requires_laminar=True),
-    AlgorithmSpec("k1-nearest", "k1", _run_k1_nearest, backend_aware=True),
-    AlgorithmSpec("k1-expansion", "k1", _run_k1_expansion, backend_aware=True),
-    AlgorithmSpec("alg5-1k", "1k", _run_one_k, backend_aware=True),
-    AlgorithmSpec("kk", "kk", _run_kk, backend_aware=True),
-    AlgorithmSpec("global-1k", "global-1k", _run_global, backend_aware=True),
+    AlgorithmSpec("k1-nearest", "k1", _run_k1_nearest),
+    AlgorithmSpec("k1-expansion", "k1", _run_k1_expansion),
+    AlgorithmSpec("alg5-1k", "1k", _run_one_k),
+    AlgorithmSpec("kk", "kk", _run_kk),
+    AlgorithmSpec("global-1k", "global-1k", _run_global),
 )
 
 
@@ -270,7 +263,6 @@ def check_api_end_to_end(instance: Instance) -> list[Violation]:
             distance=cfg.distance,
             modified=cfg.modified,
             expander=cfg.expander,
-            backend=cfg.backend,
         )
     except ReproError as exc:
         return [
@@ -305,30 +297,29 @@ def check_api_end_to_end(instance: Instance) -> list[Violation]:
     return out
 
 
-def _check_backend_agreement(
+def _check_engine_agreement(
     spec: AlgorithmSpec,
     model: CostModel,
     cfg: InstanceConfig,
     produced: AlgorithmOutput,
 ) -> list[Violation]:
-    """Re-run ``spec`` under the other backend; demand identical nodes.
+    """Re-run ``spec`` under the other engine; demand identical nodes.
 
-    Backends promise *bit-identical* outputs (same tie-breaking, same
-    merge sequence), so any difference in the node matrix — not merely
-    in cost — is a finding.  Skipped when only one backend can run
-    (NumPy absent).
+    The dense and matrix-free agglomerative engines promise
+    *bit-identical* outputs (same tie-breaking, same merge sequence),
+    so any difference in the node matrix — not merely in cost — is a
+    finding.  The other engine is forced through ``$REPRO_BACKEND``.
     """
-    primary = resolve_backend(cfg.backend)
+    primary = engine_for(model.enc.num_records)
     other = "columnar" if primary == "python" else "python"
-    if resolve_backend(other) == primary:
-        return []  # columnar unavailable: nothing to cross-check
     try:
-        mirrored = spec.run(model, replace(cfg, backend=other))
+        with forced_backend(other):
+            mirrored = spec.run(model, cfg)
     except Exception as exc:  # noqa: BLE001 — asymmetric crash is the finding
         return [
             Violation(
                 "backend.divergence",
-                f"{spec.name}: {primary} backend succeeded but {other} "
+                f"{spec.name}: {primary} engine succeeded but {other} "
                 f"raised {type(exc).__name__}: {exc}",
             )
         ]
@@ -339,7 +330,7 @@ def _check_backend_agreement(
                 "backend.divergence",
                 f"{spec.name} (k={cfg.k}, distance={cfg.distance}, "
                 f"measure={cfg.measure}, modified={cfg.modified}): "
-                f"{primary} and {other} backends disagree on "
+                f"{primary} and {other} engines disagree on "
                 f"{diff} record(s)",
             )
         ]
@@ -351,9 +342,10 @@ def differential_check(
 ) -> list[Violation]:
     """Run every applicable registered algorithm on one instance.
 
-    Backend-aware algorithms additionally run under the other execution
-    backend and must reproduce the primary backend's node matrix bit for
-    bit (``backend.divergence`` otherwise).
+    Algorithms that drive the agglomerative engine additionally run
+    under the engine the size rule did not pick and must reproduce the
+    primary engine's node matrix bit for bit (``backend.divergence``
+    otherwise).
 
     Returns all invariant violations found; an empty list means the
     instance passed the full differential battery.
@@ -386,8 +378,8 @@ def differential_check(
                 )
             )
             continue
-        if spec.backend_aware:
-            out.extend(_check_backend_agreement(spec, model, cfg, produced))
+        if spec.two_engines:
+            out.extend(_check_engine_agreement(spec, model, cfg, produced))
         out.extend(
             check_generalization(
                 enc, produced.nodes, spec.notion, cfg.k, label=spec.name

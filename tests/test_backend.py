@@ -1,48 +1,50 @@
-"""Backend selection and the columnar engine's equivalence contract.
+"""Engine selection and the matrix-free engine's equivalence contract.
 
 Three layers of assurance, cheapest first:
 
-* unit tests on :mod:`repro.core.backend` resolution semantics
-  (including the NumPy-absent degradation, exercised in a subprocess
-  whose import machinery hides NumPy);
+* unit tests on the size rule and the ``$REPRO_BACKEND`` override
+  (:mod:`repro.core.backend`), plus the one union-pricing kernel,
+  :meth:`~repro.measures.base.CostModel.join_costs`, against its
+  ``join_rows`` + ``record_cost`` oracle;
 * property tests on the pruning machinery — the admissibility of
   :func:`~repro.core.columnar.union_cost_lower_bound` against
   brute-force exact costs, and an audit-enabled engine that recomputes
   every skipped bucket on adversarial shapes;
-* differential tests — the columnar engine against the dense-matrix
-  reference across measures/distances, plus a deliberately broken
-  engine proving the harness *detects* divergence rather than
-  vacuously passing.
+* differential tests — the matrix-free engine against the dense one
+  across measures/distances, plus a deliberately broken engine proving
+  the harness *detects* divergence rather than vacuously passing.
+
+The engine is forced through ``$REPRO_BACKEND``, the same override CI
+uses.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.agglomerative import agglomerative_clustering
+import repro.core.agglomerative as agglomerative
+from repro.core.agglomerative import agglomerative_clustering, engine_for
 from repro.core.api import anonymize
 from repro.core.backend import (
+    AUTO,
     BACKEND_ENV_VAR,
     BACKENDS,
-    DEFAULT_BACKEND,
-    backend_names,
-    columnar_available,
+    forced_backend,
     resolve_backend,
 )
-from repro.core.columnar import (
-    FusedJoinCost,
-    _ColumnarEngine,
-    union_cost_lower_bound,
-)
+from repro.core.columnar import _ColumnarEngine, union_cost_lower_bound
 from repro.core.distances import distance_names, get_distance
 from repro.errors import ReproError
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure, measure_names
+from repro.obs import MetricsRegistry, metrics_scope
 from repro.tabular.attribute import Attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import SubsetCollection
@@ -50,101 +52,97 @@ from repro.tabular.table import Schema, Table
 
 from tests.conftest import make_random_table
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 def _model(table: Table, measure: str = "lm") -> CostModel:
     return CostModel(EncodedTable(table), get_measure(measure))
 
 
 def _clusters(model, k, distance="d3", modified=False, backend="python"):
-    return agglomerative_clustering(
-        model, k, get_distance(distance), modified=modified, backend=backend
-    ).clusters
+    with forced_backend(backend):
+        return agglomerative_clustering(
+            model, k, get_distance(distance), modified=modified
+        ).clusters
 
 
 # --------------------------------------------------------------------- #
-# backend resolution
+# the override and the size rule
 # --------------------------------------------------------------------- #
 
 
 class TestResolution:
     def test_default_and_explicit(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == DEFAULT_BACKEND
+        assert resolve_backend(None) == AUTO
         assert resolve_backend("python") == "python"
         assert resolve_backend("columnar") == "columnar"
-        assert backend_names() == list(BACKENDS)
+        assert BACKENDS == ("python", "columnar")
 
     def test_env_var_steers_default_but_not_explicit(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
         assert resolve_backend(None) == "columnar"
         assert resolve_backend("python") == "python"
 
-    def test_unknown_backend_raises(self):
+    def test_unknown_backend_raises(self, monkeypatch):
         with pytest.raises(ReproError, match="unknown backend"):
             resolve_backend("gpu")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
+        with pytest.raises(ReproError, match="unknown backend"):
+            resolve_backend(None)
 
-    def test_columnar_degrades_without_numpy(self, monkeypatch):
-        import repro.core.backend as mod
+    def test_forced_backend_restores_the_environment(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        with forced_backend("columnar"):
+            assert resolve_backend(None) == "columnar"
+            with forced_backend("python"):
+                assert resolve_backend(None) == "python"
+            assert resolve_backend(None) == "columnar"
+        assert resolve_backend(None) == AUTO
+        with pytest.raises(ReproError, match="unknown backend"):
+            with forced_backend("gpu"):
+                pass
 
-        monkeypatch.setattr(mod, "_available", False)
-        assert resolve_backend("columnar") == "python"
-        assert resolve_backend("python") == "python"
 
-    def test_numpy_absent_subprocess(self):
-        """In an interpreter that cannot import NumPy, the probe module
-        still imports, reports the backend unavailable, and degrades a
-        columnar request to python — no crash.  The probe modules are
-        loaded standalone (the package root imports NumPy for the
-        algorithms; the *probe* is the part that must stay NumPy-free,
-        per the :mod:`repro.core.backend` docstring)."""
-        code = textwrap.dedent(
-            """
-            import importlib.abc, importlib.util, sys, types
+def _bucket_evals(model, k, distance="d3", modified=False):
+    """Clusters plus the matrix-free engine's bucket counter."""
+    registry = MetricsRegistry()
+    with metrics_scope(registry):
+        clusters = agglomerative_clustering(
+            model, k, get_distance(distance), modified=modified
+        ).clusters
+    return clusters, registry.counter("core.agglomerative.bucket_evals")
 
-            class Block(importlib.abc.MetaPathFinder):
-                def find_spec(self, name, path, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy masked for this test")
-                    return None
 
-            sys.meta_path.insert(0, Block())
-            assert "numpy" not in sys.modules
-            for pkg_name, pkg_path in (
-                ("repro", "src/repro"),
-                ("repro.core", "src/repro/core"),
-            ):
-                pkg = types.ModuleType(pkg_name)
-                pkg.__path__ = [pkg_path]
-                sys.modules[pkg_name] = pkg
-            for name, path in (
-                ("repro.errors", "src/repro/errors.py"),
-                ("repro.core.backend", "src/repro/core/backend.py"),
-            ):
-                spec = importlib.util.spec_from_file_location(name, path)
-                module = importlib.util.module_from_spec(spec)
-                sys.modules[name] = module
-                spec.loader.exec_module(module)
-            backend = sys.modules["repro.core.backend"]
-            assert backend.columnar_available() is False
-            assert backend.resolve_backend("columnar") == "python"
-            assert backend.resolve_backend("python") == "python"
-            assert "numpy" not in sys.modules
-            print("degraded-ok")
-            """
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "degraded-ok" in proc.stdout
+class TestEngineSelection:
+    def test_size_rule(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        limit = agglomerative.DENSE_MAX_RECORDS
+        assert engine_for(1) == "python"
+        assert engine_for(limit) == "python"
+        assert engine_for(limit + 1) == "columnar"
 
-    def test_columnar_available_here(self):
-        # The test environment has NumPy; the cached probe must agree.
-        assert columnar_available() is True
+    def test_override_beats_the_size_rule(self, monkeypatch):
+        limit = agglomerative.DENSE_MAX_RECORDS
+        monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
+        assert engine_for(2) == "columnar"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        assert engine_for(limit + 1) == "python"
+
+    @pytest.mark.parametrize("measure", ["entropy", "lm"])
+    def test_boundary_is_byte_identical(self, monkeypatch, measure):
+        """Move the threshold onto a small table: one record either side
+        of it switches the engine, and both sides cluster identically."""
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        model = _model(make_random_table(40, seed=11), measure)
+        n = model.enc.num_records
+        monkeypatch.setattr(agglomerative, "DENSE_MAX_RECORDS", n)
+        dense, dense_evals = _bucket_evals(model, 4, modified=True)
+        monkeypatch.setattr(agglomerative, "DENSE_MAX_RECORDS", n - 1)
+        free, free_evals = _bucket_evals(model, 4, modified=True)
+        assert dense_evals == 0
+        assert free_evals > 0
+        assert free == dense
 
 
 # --------------------------------------------------------------------- #
@@ -310,14 +308,10 @@ class TestBackendDifferential:
 
     def test_end_to_end_results_identical(self):
         table = make_random_table(40, seed=6)
-        ref = anonymize(
-            table, k=3, notion="k", algorithm="agglomerative",
-            backend="python",
-        )
-        col = anonymize(
-            table, k=3, notion="k", algorithm="agglomerative",
-            backend="columnar",
-        )
+        with forced_backend("python"):
+            ref = anonymize(table, k=3, notion="k", algorithm="agglomerative")
+        with forced_backend("columnar"):
+            col = anonymize(table, k=3, notion="k", algorithm="agglomerative")
         assert np.array_equal(ref.node_matrix, col.node_matrix)
         assert ref.cost == col.cost
         assert list(ref.generalized.labels()) == list(
@@ -347,31 +341,97 @@ class TestBackendDifferential:
 
 
 # --------------------------------------------------------------------- #
-# fused kernels
+# the matrix-free engine's niche: beyond the dense engine's reach
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.slow
+def test_matrix_free_niche_adult_20k():
+    """ADT at n=20k, notion k, LM: the size rule picks the matrix-free
+    engine (whose dense alternative would need ~14 GB), the release
+    verifies, and peak RSS stays small.  Runs in a fresh interpreter so
+    the peak belongs to this run alone.  It took 95-220 s on 2-CPU
+    boxes; the time bound only catches a run that stopped finishing."""
+    code = textwrap.dedent(
+        """
+        import json, resource, time
+        from repro.core.api import anonymize
+        from repro.datasets import load
+        from repro.obs import MetricsRegistry, metrics_scope
+
+        table = load("adult", n=20000, seed=0)
+        registry = MetricsRegistry()
+        start = time.perf_counter()
+        with metrics_scope(registry):
+            result = anonymize(table, 10, notion="k", measure="lm")
+        print(json.dumps({
+            "seconds": time.perf_counter() - start,
+            "bucket_evals": registry.counter("core.agglomerative.bucket_evals"),
+            "verified": result.verify(),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        }))
+        """
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=900,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert run["bucket_evals"] > 0
+    assert run["verified"] is True
+    assert run["peak_rss_mb"] < 512
+    assert run["seconds"] < 480
+
+
+# --------------------------------------------------------------------- #
+# the union-pricing kernel against its oracle
 # --------------------------------------------------------------------- #
 
 
 class TestFusedJoinCost:
+    """``CostModel.join_costs`` is the only union-pricing path of the
+    candidate scans in ``repro.core``; the unfused ``join_rows`` +
+    ``record_cost`` pair is its oracle."""
+
+    @staticmethod
+    def _assert_matches_oracle(model, seed):
+        enc = model.enc
+        rng = np.random.default_rng(seed)
+        nodes = enc.singleton_nodes
+        for _ in range(20):
+            rows = enc.join_rows(
+                nodes[rng.integers(0, enc.num_records, size=9)],
+                nodes[int(rng.integers(0, enc.num_records))],
+            )
+            b = nodes[int(rng.integers(0, enc.num_records))]
+            expect = np.asarray(model.record_cost(enc.join_rows(rows, b)))
+            got = model.join_costs(rows, b)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expect.astype(np.float64).tobytes()
+
     @pytest.mark.parametrize("measure", measure_names())
     def test_bit_identical_to_record_cost(self, measure):
         table = make_random_table(25, seed=7, domain_sizes=(5, 3, 2))
-        model = _model(table, measure)
-        enc = model.enc
-        fused = FusedJoinCost(model)
-        rng = np.random.default_rng(1)
-        nodes = enc.singleton_nodes
-        for _ in range(20):
-            rows = nodes[rng.integers(0, enc.num_records, size=9)]
-            b = nodes[int(rng.integers(0, enc.num_records))]
-            expect = np.asarray(model.record_cost(enc.join_rows(rows, b)))
-            got = fused.pair_costs(rows, b)
-            assert got.tobytes() == expect.astype(np.float64).tobytes()
+        self._assert_matches_oracle(_model(table, measure), seed=1)
+
+    @pytest.mark.parametrize("measure", measure_names())
+    def test_wide_weighted_schema(self, measure):
+        """Eight attributes and uneven weights: any reassociation of the
+        per-attribute additions would show up in the last bits."""
+        table = make_random_table(
+            30, seed=3, domain_sizes=(6, 5, 4, 3, 2, 5, 4, 3)
+        )
+        enc = EncodedTable(table)
+        weights = np.random.default_rng(2).uniform(0.1, 3.0, size=8)
+        model = CostModel(enc, get_measure(measure), weights=weights)
+        self._assert_matches_oracle(model, seed=4)
 
     def test_empty_batch(self):
         table = make_random_table(6, seed=0)
         model = _model(table, "lm")
-        fused = FusedJoinCost(model)
-        out = fused.pair_costs(
+        out = model.join_costs(
             np.zeros((0, model.enc.num_attributes), dtype=np.int32),
             model.enc.singleton_nodes[0],
         )

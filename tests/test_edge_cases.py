@@ -24,7 +24,7 @@ from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import SubsetCollection, interval_hierarchy
 from repro.tabular.table import Schema, Table
-from repro.core.backend import BACKENDS
+from repro.core.backend import BACKENDS, forced_backend
 from repro.verify.differential import REGISTRY
 from repro.verify.generators import InstanceConfig
 
@@ -172,7 +172,7 @@ class TestDeepHierarchy:
         assert coll.closure_of_values(["v0", "v5"]) == coll.full_node
 
 
-def _config(k, measure="entropy", backend="python"):
+def _config(k, measure="entropy"):
     return InstanceConfig(
         seed=0,
         k=k,
@@ -181,7 +181,6 @@ def _config(k, measure="entropy", backend="python"):
         distance="d2",
         expander="nearest",
         modified=False,
-        backend=backend,
     )
 
 
@@ -191,8 +190,9 @@ def _spec_params():
     )
 
 
-#: The degenerate matrix runs under every backend: off-by-one bugs in
-#: the bucketed engine hide exactly in these shapes.
+#: The degenerate matrix runs under both agglomerative engines, forced
+#: through ``$REPRO_BACKEND``: off-by-one bugs in the bucketed engine
+#: hide exactly in these shapes.
 _backend_params = pytest.mark.parametrize("backend", BACKENDS)
 
 
@@ -217,7 +217,8 @@ class TestDegenerateAcrossRegistry:
 
     def _run(self, spec, table, k, measure="entropy", backend="python"):
         model = CostModel(EncodedTable(table), EntropyMeasure())
-        return model, spec.run(model, _config(k, measure, backend))
+        with forced_backend(backend):
+            return model, spec.run(model, _config(k, measure))
 
     @_backend_params
     @_spec_params()

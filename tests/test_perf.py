@@ -607,9 +607,9 @@ class TestHotPathIdentity:
 
 
 class TestBackendEquivalence:
-    """Columnar and python runs must leave byte-identical canonical
-    journals — the strongest statement possible, since the journal
-    identity itself carries no backend."""
+    """Runs forced onto the matrix-free and the dense engine must leave
+    byte-identical canonical journals — the strongest statement
+    possible, since the journal identity itself carries no engine."""
 
     def test_small_grid_is_equivalent(self):
         assert check_backend_equivalence(SMALL) == []
@@ -648,19 +648,20 @@ class TestBackendEquivalence:
 
     @pytest.mark.slow
     def test_ten_thousand_record_grid(self):
-        """The acceptance-grid point: both backends agree bitwise on a
-        10k-record agglomerative run (the scale the dense matrix can
-        still afford; 50k/100k are columnar-only scale cases)."""
+        """The acceptance-grid point: both engines agree bitwise on a
+        10k-record agglomerative run (the size-rule boundary, the
+        largest the dense engine takes)."""
         from repro.core.api import anonymize
+        from repro.core.backend import forced_backend
 
         table = load("art", n=10_000, seed=0)
-        results = {
-            backend: anonymize(
-                table, k=10, notion="k", measure="lm",
-                algorithm="agglomerative", distance="d3", backend=backend,
-            )
-            for backend in ("python", "columnar")
-        }
+        results = {}
+        for backend in ("python", "columnar"):
+            with forced_backend(backend):
+                results[backend] = anonymize(
+                    table, k=10, notion="k", measure="lm",
+                    algorithm="agglomerative", distance="d3",
+                )
         ref, col = results["python"], results["columnar"]
         assert np.array_equal(ref.node_matrix, col.node_matrix)
         assert ref.cost == col.cost

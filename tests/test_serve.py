@@ -9,6 +9,7 @@ subprocess SIGKILL drill in ``tools/serve_smoke.py`` (CI).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import threading
@@ -739,52 +740,89 @@ class TestChaosDrill:
 
 
 class TestBackendPurity:
-    """Backends are an execution detail: bodies, cache keys and the
-    echoed request must be byte-identical across them, with the
-    resolved backend reported only in the volatile ``meta`` block."""
+    """The agglomerative engine is an execution detail the service does
+    not expose: no request field selects it and no envelope reports it.
+    Bodies, cache keys and the echoed request are byte-identical under
+    either engine (forced here through ``$REPRO_BACKEND``)."""
 
-    def test_bodies_byte_identical_across_backends(self):
-        envelopes = {
-            backend: _service().handle(_request(backend=backend))
-            for backend in ("python", "columnar")
-        }
+    #: sha256 of the canonical body of each request, miss and hit alike.
+    #: Bodies are a pure function of the request; these digests must
+    #: never change without a deliberate ``ENVELOPE_VERSION`` bump.
+    PINNED_BODIES = (
+        (
+            {"k": 2, "dataset": "art", "n": 30, "notion": "kk"},
+            "526f8a5b0489ac9e33ada40aa9c067d69ecb1eaea0eff410d60b47feb9f69306",
+        ),
+        (
+            {"k": 3, "dataset": "cmc", "n": 40, "notion": "k", "measure": "lm"},
+            "5c9593d41e63c1cd8173aa59da51706be68a2e648b381a642846dbefcdb98f5d",
+        ),
+        (
+            {"k": 3, "dataset": "adult", "n": 40, "notion": "global-1k"},
+            "05239733ad43a46e030df98885e0af96055d901c7757ea0d69acc6b21ea2bbcd",
+        ),
+    )
+
+    def test_bodies_byte_identical_across_backends(self, monkeypatch):
+        envelopes = {}
+        for backend in ("python", "columnar"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            envelopes[backend] = _service().handle(_request(notion="k"))
         py, col = envelopes["python"], envelopes["columnar"]
         assert py["status"] == col["status"] == "ok"
         assert canonical_body(py) == canonical_body(col)
         assert py["request"] == col["request"]
-        assert "backend" not in py["request"]
-        assert py["meta"]["backend"] == "python"
-        assert col["meta"]["backend"] == "columnar"
 
-    def test_backends_share_one_cache_entry(self):
+    def test_backends_share_one_cache_entry(self, monkeypatch):
         service = _service()
-        first = service.handle(_request(backend="python"))
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        first = service.handle(_request(notion="k"))
         assert first["meta"]["cache_hit"] is False
-        second = service.handle(_request(backend="columnar"))
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
+        second = service.handle(_request(notion="k"))
         assert second["meta"]["cache_hit"] is True
         assert second["body"] == first["body"]
-        assert second["meta"]["backend"] == "columnar"
         assert service.registry.counter("serve.execute.computed") == 1
 
-    def test_backend_appears_nowhere_but_meta(self):
-        envelope = _service().handle(_request(backend="columnar"))
-        stripped = dict(envelope)
-        del stripped["meta"]
-        assert "columnar" not in json.dumps(stripped)
-        assert envelope["meta"]["backend"] == "columnar"
+    def test_backend_appears_nowhere(self):
+        service = _service()
+        miss = service.handle(_request())
+        hit = service.handle(_request())
+        assert hit["meta"]["cache_hit"] is True
+        for envelope in (miss, hit):
+            assert "backend" not in envelope["meta"]
+            assert "backend" not in envelope["request"]
+            assert "backend" not in json.dumps(envelope)
+
+    def test_hit_and_miss_bodies_match_pinned_digests(self):
+        service = _service()
+        for payload, digest in self.PINNED_BODIES:
+            miss = service.handle(dict(payload))
+            hit = service.handle(dict(payload))
+            assert miss["meta"]["cache_hit"] is False
+            assert hit["meta"]["cache_hit"] is True
+            for envelope in (miss, hit):
+                body = canonical_body(envelope).encode()
+                assert hashlib.sha256(body).hexdigest() == digest, payload
 
     def test_unknown_backend_is_a_request_error(self):
-        with pytest.raises(RequestError, match="unknown backend"):
-            AnonymizeRequest.from_json({"k": 2, "backend": "gpu"})
-        envelope = _service().handle(_request(backend="gpu"))
-        assert envelope["status"] == "error"
-        assert envelope["error"]["kind"] == "request"
+        """``backend`` is no longer a request field: it is rejected like
+        any other unknown key, with the same envelope."""
+        for value in ("columnar", "gpu"):
+            with pytest.raises(RequestError, match="unknown request fields"):
+                AnonymizeRequest.from_json({"k": 2, "backend": value})
+        service = _service()
+        stale = service.handle(_request(backend="columnar"))
+        typo = service.handle(_request(bogus="columnar"))
+        assert stale["status"] == typo["status"] == "error"
+        assert stale["error"]["kind"] == typo["error"]["kind"] == "request"
+        assert stale["error"]["message"] == typo["error"]["message"].replace(
+            "bogus", "backend"
+        )
 
     def test_to_json_excludes_backend(self):
-        request = AnonymizeRequest.from_json(
-            {"k": 2, "n": 30, "backend": "columnar"}
-        )
-        assert request.backend == "columnar"
+        request = AnonymizeRequest.from_json({"k": 2, "n": 30})
+        assert not hasattr(request, "backend")
         assert "backend" not in request.to_json()
 
 
