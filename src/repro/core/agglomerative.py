@@ -19,6 +19,8 @@ reproduces the dense engine's merge sequence bit for bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.backend import AUTO, resolve_backend
@@ -29,13 +31,18 @@ from repro.measures.base import CostModel
 from repro.obs import count
 from repro.runtime import checkpoint
 
-#: Largest table the dense engine takes.  It needs about 35 B of peak
-#: RSS per record pair: 906 MB at n=5000 and 3,475 MB at n=10k.  Up to
-#: n=5000, the largest size measured on both, it is the faster engine.
+#: Largest table the dense engine takes.  Its peak RSS is the float64
+#: matrix, 8 B per record pair, plus O(n): 241 MB at n=5000 and 825 MB
+#: at n=10k on ADT.  Up to n=5000, the largest size measured on both,
+#: it is the faster engine (2.6 s against 19 s with LM on a 2-CPU box).
 #: Above this only the matrix-free engine runs; it took 95 s and 62 MB
-#: on ADT at n=20k with LM on a 2-CPU box.  ``$REPRO_BACKEND`` overrides
-#: the choice (:mod:`repro.core.backend`).
+#: on ADT at n=20k with LM.  ``$REPRO_BACKEND`` overrides the choice
+#: (:mod:`repro.core.backend`).
 DENSE_MAX_RECORDS = 10_000
+
+#: Matrix cells the dense engine fills per block at init; a block's
+#: temporaries stay near 0.5 MB whatever the table size.
+_FILL_BLOCK_CELLS = 1 << 16
 
 
 class _Engine:
@@ -100,28 +107,48 @@ class _Engine:
     # ------------------------------------------------------------------ #
 
     def _init_distances(self) -> None:
-        """All-pairs singleton distances, one broadcast per attribute."""
-        enc, model = self.enc, self.model
-        n = enc.num_records
-        cost_union = np.zeros((n, n), dtype=np.float64)
+        """All-pairs singleton distances, filled in row blocks.
+
+        ``cols[j][a, i]`` prices the union of node a with record i's
+        singleton node in attribute j: the fused table of
+        :meth:`CostModel.join_cost_tables` with its columns picked per
+        record.  Each block of :data:`_FILL_BLOCK_CELLS` cells sums the
+        rows of those tables in ``record_cost``'s attribute order, so
+        every cell is the float a one-shot broadcast fill would give
+        while the temporaries stay one block in size.
+        """
+        enc = self.enc
+        n, r = enc.num_records, enc.num_attributes
         col = self.nodes
-        # repro: allow[REP011] one-time O(u^2) matrix fill, straight after the core.agglomerative.init checkpoint
-        for j, att in enumerate(enc.attrs):
-            joined = att.join[col[:, None, j], col[None, :, j]]
-            cost_union += model.node_costs[j][joined]
-        cost_union /= enc.num_attributes
-        dist = self.distance.evaluate(
-            self.sizes[:, None],
-            self.costs[:, None],
-            self.sizes[None, :],
-            self.costs[None, :],
-            cost_union,
-        )
-        dist = np.asarray(dist, dtype=np.float64)
-        np.fill_diagonal(dist, np.inf)
-        self.matrix = dist
-        self.row_min = dist.min(axis=1)
-        self.row_arg = dist.argmin(axis=1)
+        cols = [
+            table[:, col[:, j]]
+            for j, table in enumerate(self.model.join_cost_tables())
+        ]
+        self.matrix = np.empty((n, n), dtype=np.float64)
+        step = max(1, _FILL_BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            checkpoint("core.agglomerative.init")
+            hi = min(lo + step, n)
+            cost_union = np.zeros((hi - lo, n), dtype=np.float64)
+            for j in range(r):
+                cost_union += cols[j][col[lo:hi, j]]
+            cost_union /= r
+            block = np.asarray(
+                self.distance.evaluate(
+                    self.sizes[lo:hi, None],
+                    self.costs[lo:hi, None],
+                    self.sizes[None, :],
+                    self.costs[None, :],
+                    cost_union,
+                ),
+                dtype=np.float64,
+            )
+            rows = np.arange(hi - lo)
+            block[rows, rows + lo] = np.inf
+            self.matrix[lo:hi] = block
+            arg = block.argmin(axis=1)
+            self.row_arg[lo:hi] = arg
+            self.row_min[lo:hi] = block[rows, arg]
 
     def _distances_from(self, x: int) -> np.ndarray:
         """Distance of cluster x to every slot (inf for inactive / self).
@@ -184,8 +211,9 @@ class _Engine:
     def _rescan_row(self, x: int) -> None:
         """Recompute row x's cached minimum from the matrix."""
         row = self.matrix[x]
-        self.row_min[x] = row.min()
-        self.row_arg[x] = int(row.argmin())
+        a = int(row.argmin())
+        self.row_arg[x] = a
+        self.row_min[x] = row[a]
 
     def _pair_value(self, x: int, y: int) -> float:
         """The currently-recorded distance of the pair ``(x, y)`` — the
@@ -202,15 +230,16 @@ class _Engine:
         when it is about to win the global argmin — the classic lazy
         scheme that keeps the engine at the paper's O(n²).
         """
+        row_min, row_arg, active = self.row_min, self.row_arg, self.active
         # repro: allow[REP011] lazy-deletion heap pops between core.agglomerative.merge checkpoints, bounded by heap size
         while True:
             self.stat_scanned += 1
-            x = int(np.argmin(self.row_min))
-            best = self.row_min[x]
-            if not np.isfinite(best):
+            x = int(row_min.argmin())
+            best = row_min[x]
+            if not math.isfinite(best):
                 return None
-            y = int(self.row_arg[x])
-            if self.active[y] and self._pair_value(x, y) == best:
+            y = int(row_arg[x])
+            if active[y] and self._pair_value(x, y) == best:
                 return x, y
             self.stat_rescans += 1
             self._rescan_row(x)
@@ -447,10 +476,6 @@ def agglomerative_clustering(
     if k <= 1:
         # Trivial: every record is its own cluster, nothing is generalized.
         return Clustering(n, [[i] for i in range(n)])
-    # The O(n²) all-pairs matrix (resp. the O(u²) bucket fill) is one
-    # vectorized sweep; checkpoint before committing to it so a spent
-    # deadline fails fast.
-    checkpoint("core.agglomerative.init")
     if engine_for(n) == "columnar":
         from repro.core.columnar import _ColumnarEngine
 

@@ -169,7 +169,10 @@ class CostModel:
                 )
             costs.append(vec * scale[j])
         self.node_costs: tuple[np.ndarray, ...] = tuple(costs)
-        self._join_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._join_tables: (
+            tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]
+            | None
+        ) = None
 
     # ------------------------------------------------------------------ #
     # cost queries
@@ -192,30 +195,51 @@ class CostModel:
             total += self.node_costs[j][nodes[..., j]]
         return total / r
 
+    def join_cost_tables(self) -> tuple[np.ndarray, ...]:
+        """Attribute j's fused table ``node_costs[j][join_j]``: entry
+        ``(a, b)`` is the cost of the union of nodes a and b.
+
+        Built once, on first use, as read-only views into the flat
+        store that :meth:`join_costs` gathers from, so the composition
+        of node costs with joins lives here only.
+        """
+        fused = self._join_tables
+        if fused is None:
+            fused = self._build_join_tables()
+        return fused[0]
+
+    def _build_join_tables(
+        self,
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+        tables = [
+            self.node_costs[j][att.join] for j, att in enumerate(self.enc.attrs)
+        ]
+        # Entry (a, b) of attribute j's table lives at
+        # offset[j] + a * scale[j] + b of the flattened concatenation.
+        scale = np.array([t.shape[1] for t in tables], dtype=np.int64)
+        sizes = np.array([t.size for t in tables], dtype=np.int64)
+        offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        flat = np.concatenate([t.ravel() for t in tables])
+        flat.flags.writeable = False
+        views = tuple(
+            flat[o : o + t.size].reshape(t.shape) for o, t in zip(offset, tables)
+        )
+        self._join_tables = (views, flat, scale, offset)
+        return self._join_tables
+
     def join_costs(self, nodes_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
         """Union record costs of every row of ``nodes_a`` with ``node_b``.
 
         Exactly ``record_cost(enc.join_rows(nodes_a, node_b))`` — same
         floats, same accumulation order — without materializing the
-        union rows: attribute j's fused table maps a node pair straight
-        to ``node_costs[j][join_j[a, b]]``, and one linearized gather
-        reads every attribute's entry at once.  The tables are built on
-        first use.  Every candidate-union scan in :mod:`repro.core`
-        prices through this method.
+        union rows: one linearized gather reads every attribute's entry
+        of :meth:`join_cost_tables` at once.  Every candidate-union scan
+        in :mod:`repro.core` prices through this method.
         """
-        if self._join_tables is None:
-            tables = [
-                self.node_costs[j][att.join]
-                for j, att in enumerate(self.enc.attrs)
-            ]
-            # Entry (a, b) of attribute j's table lives at
-            # offset[j] + a * scale[j] + b of the flattened concatenation.
-            scale = np.array([t.shape[1] for t in tables], dtype=np.int64)
-            sizes = np.array([t.size for t in tables], dtype=np.int64)
-            offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            flat = np.concatenate([t.ravel() for t in tables])
-            self._join_tables = (flat, scale, offset)
-        flat, scale, offset = self._join_tables
+        fused = self._join_tables
+        if fused is None:
+            fused = self._build_join_tables()
+        _, flat, scale, offset = fused
         picked = flat[np.asarray(nodes_a) * scale + (offset + node_b)]
         r = len(self.node_costs)
         total = np.zeros(picked.shape[0], dtype=np.float64)
