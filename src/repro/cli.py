@@ -8,26 +8,25 @@ Subcommands
 * ``audit`` — re-audit a written release against both adversaries.
 * ``utility`` — COUNT-query utility comparison of k / forest / (k,k)
   releases on a built-in dataset.
-* ``experiment`` — run one of the paper's experiments
-  (``table1``, ``fig1``, ``fig2``, ``fig3``, ``ablations``,
-  ``global1k``, ``scaling``, ``epsilon``, or ``all`` for the complete
-  reproduction report) and print it.  ``--timeout SECONDS`` bounds the
-  wall clock (exit code 3 on expiry), ``--journal PATH`` appends every
-  finished grid cell to a crash-safe JSONL journal, ``--resume``
-  preloads an existing journal so finished cells are never recomputed
-  (see ``docs/robustness.md``), ``--workers N`` fans the grid cells
-  over worker processes with results identical to a serial run
-  (``docs/performance.md``), and ``--trace PATH`` / ``--metrics PATH``
-  record a span trace and a work-unit metrics snapshot without
-  changing any result (``docs/observability.md``).
+* ``experiment`` — run one of the paper's experiments by name (the
+  names and drivers live in :mod:`repro.experiments.registry`; ``all``
+  is the complete reproduction report) and print it.
+  ``--timeout SECONDS`` bounds the wall clock (exit code 3 on expiry),
+  ``--journal PATH`` appends every finished grid cell to a crash-safe
+  JSONL journal, ``--resume`` preloads an existing journal so finished
+  cells are never recomputed (see ``docs/robustness.md``),
+  ``--workers N`` fans the grid cells over worker processes with
+  results identical to a serial run (``docs/performance.md``), and
+  ``--trace PATH`` / ``--metrics PATH`` record a span trace and a
+  work-unit metrics snapshot without changing any result
+  (``docs/observability.md``).
 * ``bench`` — run the pinned benchmark suite (:mod:`repro.perf`), write
   a schema-versioned ``BENCH_<stamp>.json`` report and compare against
   the latest committed baseline (``--enforce`` turns regressions into a
   non-zero exit; ``--metrics`` embeds a work-unit snapshot).
-* ``trace`` — work with span traces written by ``experiment --trace``:
-  ``convert`` to Chrome ``trace_event`` JSON (chrome://tracing,
-  Perfetto), ``summarize`` to a per-phase time/work table.
 * ``obs`` — work with observability artifacts (``docs/observability.md``):
+  ``convert`` turns a span trace written by ``experiment --trace`` into
+  Chrome ``trace_event`` JSON (chrome://tracing, Perfetto);
   ``summarize`` renders any combination of a span trace, a metrics
   snapshot (v1 cumulative or v2 windowed) and a flight-recorder dump;
   ``export`` converts a snapshot JSON to the Prometheus text
@@ -72,6 +71,7 @@ from typing import Sequence
 from repro.core.api import anonymize
 from repro.datasets.registry import dataset_names, default_size, load
 from repro.errors import DeadlineExceeded, ReproError
+from repro.experiments.registry import experiment_names
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.io import (
     read_generalized_csv,
@@ -161,13 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--k", type=int, required=True, help="claimed k")
 
     exp = sub.add_parser("experiment", help="run a paper experiment")
-    exp.add_argument(
-        "name",
-        choices=[
-            "table1", "fig1", "fig2", "fig3", "ablations",
-            "global1k", "scaling", "epsilon", "all",
-        ],
-    )
+    exp.add_argument("name", choices=experiment_names())
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument(
         "--out", help="for 'all': also write the report to this file"
@@ -201,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="record a span trace (JSONL) of the run; convert with "
-        "'repro-anon trace convert' for chrome://tracing / Perfetto",
+        "'repro-anon obs convert' for chrome://tracing / Perfetto",
     )
     exp.add_argument(
         "--metrics",
@@ -214,29 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="append the run's metrics snapshot as one record to an "
         "OBS_*.jsonl snapshot journal (implies metrics collection)",
-    )
-
-    trace_cmd = sub.add_parser(
-        "trace",
-        help="convert or summarize span traces written by "
-        "'experiment --trace'",
-    )
-    trace_sub = trace_cmd.add_subparsers(dest="trace_command", required=True)
-    convert_cmd = trace_sub.add_parser(
-        "convert", help="convert a JSONL trace to Chrome trace_event JSON"
-    )
-    convert_cmd.add_argument("trace", help="span trace JSONL file")
-    convert_cmd.add_argument(
-        "--out", required=True, help="output Chrome trace_event JSON path"
-    )
-    summarize_cmd = trace_sub.add_parser(
-        "summarize", help="print a per-phase time/work table"
-    )
-    summarize_cmd.add_argument(
-        "trace", nargs="?", help="span trace JSONL file"
-    )
-    summarize_cmd.add_argument(
-        "--metrics", help="metrics snapshot JSON to include in the summary"
     )
 
     bench_cmd = sub.add_parser(
@@ -307,10 +278,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="summarize, export or tail observability artifacts "
+        help="convert, summarize, export or tail observability artifacts "
         "(traces, metrics snapshots, flight dumps, OBS journals)",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
+    obs_convert = obs_sub.add_parser(
+        "convert",
+        help="convert a span trace JSONL (from 'experiment --trace' or "
+        "'serve --trace') to Chrome trace_event JSON",
+    )
+    obs_convert.add_argument("trace", help="span trace JSONL file")
+    obs_convert.add_argument(
+        "--out", required=True, help="output Chrome trace_event JSON path"
+    )
     obs_summarize = obs_sub.add_parser(
         "summarize",
         help="render traces / metrics snapshots / flight dumps as one "
@@ -496,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="record per-request span traces (JSONL); convert with "
-        "'repro-anon trace convert'",
+        "'repro-anon obs convert'",
     )
     serve_cmd.add_argument(
         "--live-telemetry",
@@ -787,11 +767,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    import io
     import json
     from contextlib import ExitStack
+    from pathlib import Path
 
-    from repro.experiments.configs import ExperimentConfig
-    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments import (
+        ExperimentConfig,
+        ExperimentRunner,
+        run_experiment,
+    )
     from repro.obs import MetricsRegistry, Tracer, metrics_scope, trace_scope
     from repro.runtime import Deadline, Journal, atomic_write_text, limit_scope
 
@@ -829,7 +814,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                             runner, plan, workers=args.workers
                         )
                         print(f"parallel prefetch: {stats}")
-                code = _dispatch_experiment(args, runner)
+                if args.name == "all" and args.out:
+                    buffer = io.StringIO()
+                    code = run_experiment(args.name, runner, buffer)
+                    report = buffer.getvalue()
+                    sys.stdout.write(report)
+                    # The file holds the report without the newline the
+                    # driver writes after it.
+                    Path(args.out).write_text(report.removesuffix("\n"))
+                    print(f"report written to {args.out}")
+                else:
+                    code = run_experiment(args.name, runner, sys.stdout)
     finally:
         # Write the snapshot even when a deadline aborts the run: the
         # partial counters say where the time went before the cutoff.
@@ -862,102 +857,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"{runner.resumed_cells} resumed"
         )
     return code
-
-
-def _dispatch_experiment(args: argparse.Namespace, runner) -> int:
-    name = args.name
-    if name == "all":
-        from repro.experiments.full_report import generate_full_report
-
-        report = generate_full_report(runner)
-        print(report)
-        if args.out:
-            from pathlib import Path
-
-            Path(args.out).write_text(report)
-            print(f"report written to {args.out}")
-        return 0
-    if name == "table1":
-        from repro.experiments.table1 import compute_table1
-
-        result = compute_table1(runner)
-        print(result.format())
-        print()
-        print(result.improvement_summary())
-        violations = result.shape_violations()
-        if violations:
-            print("\nSHAPE VIOLATIONS:")
-            print("\n".join(violations))
-            return 1
-    elif name in ("fig2", "fig3"):
-        from repro.experiments.figures import compute_figure
-
-        fig = compute_figure(runner, name)
-        print(fig.chart())
-        print()
-        print(fig.numbers())
-    elif name == "fig1":
-        from repro.core.relations import (
-            check_figure1,
-            enumerate_census,
-            proposition_45_example,
-        )
-
-        table, _ = proposition_45_example()
-        census = enumerate_census(EncodedTable(table), k=2)
-        print(f"enumerated {census.total} generalizations of the "
-              "Proposition 4.5 table (k=2)")
-        for key, count in sorted(census.counts.items(), key=lambda kv: -kv[1]):
-            label = "+".join(sorted(key)) if key else "(none)"
-            print(f"  {label:30s} {count}")
-        problems = check_figure1(census)
-        print("Figure 1 inclusions:", "OK" if not problems else problems)
-    elif name == "ablations":
-        from repro.experiments.ablations import (
-            coupling_ablation,
-            distance_ablation,
-            join_target_ablation,
-            modified_ablation,
-        )
-
-        for dataset in runner.config.datasets:
-            for measure in runner.config.measures:
-                print(f"== {dataset} / {measure} ==")
-                print(distance_ablation(runner, dataset, measure).format())
-                print(coupling_ablation(runner, dataset, measure).format())
-                print(modified_ablation(runner, dataset, measure).format())
-                print(join_target_ablation(runner, dataset, measure).format())
-                print()
-    elif name == "global1k":
-        from repro.experiments.global1k import (
-            format_conversion,
-            global_conversion_experiment,
-        )
-
-        points = []
-        for dataset in runner.config.datasets:
-            points.extend(
-                global_conversion_experiment(runner, dataset, "entropy")
-            )
-        print(format_conversion(points))
-    elif name == "scaling":
-        from repro.experiments.scaling import scaling_sweep
-
-        print(scaling_sweep().format())
-    elif name == "epsilon":
-        from repro.extensions.epsilon_kk import epsilon_sweep
-
-        for dataset in runner.config.datasets:
-            model = runner.model(dataset, "entropy")
-            sweep = epsilon_sweep(model, k=10)
-            eps = sweep.smallest_sufficient_epsilon()
-            print(f"{dataset}: smallest sufficient ε = {eps}")
-            for p in sweep.points:
-                print(
-                    f"  ε={p.epsilon:<4} k'={p.k_prime:<3} Π={p.cost:.4f} "
-                    f"min matches={p.min_matches} deficient={p.deficient_records}"
-                )
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1015,35 +914,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs import load_trace, write_chrome_trace
-
-    if args.trace_command == "convert":
-        events = load_trace(args.trace)
-        write_chrome_trace(events, args.out)
-        print(f"{len(events)} spans converted to {args.out}")
-        return 0
-    # summarize
-    from repro.obs.summarize import summarize
-
-    events = load_trace(args.trace) if args.trace else []
-    snapshot = None
-    if args.metrics:
-        try:
-            snapshot = json.loads(Path(args.metrics).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(
-                f"cannot read metrics snapshot {args.metrics}: {exc}"
-            ) from exc
-    if not events and snapshot is None:
-        raise ReproError("give a trace file and/or --metrics SNAPSHOT")
-    print(summarize(events, snapshot))
-    return 0
-
-
 def _read_json(path: str, what: str) -> dict:
     import json
     from pathlib import Path
@@ -1061,9 +931,19 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.obs import load_obs_journal, load_trace, render_prometheus
+    from repro.obs import (
+        load_obs_journal,
+        load_trace,
+        render_prometheus,
+        write_chrome_trace,
+    )
     from repro.obs.summarize import summarize
 
+    if args.obs_command == "convert":
+        events = load_trace(args.trace)
+        write_chrome_trace(events, args.out)
+        print(f"{len(events)} spans converted to {args.out}")
+        return 0
     if args.obs_command == "summarize":
         events = load_trace(args.trace) if args.trace else []
         snapshot = (
@@ -1138,8 +1018,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_lint(args)
         if args.command == "bench":
             return _cmd_bench(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "obs":

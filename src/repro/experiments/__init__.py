@@ -6,6 +6,8 @@
 * :mod:`repro.experiments.global1k` — the Algorithm 6 conversion study.
 * :mod:`repro.experiments.scaling` — runtime scaling checks.
 * :mod:`repro.experiments.paper_values` — the paper's numbers, verbatim.
+* :mod:`repro.experiments.registry` — every experiment by name, the
+  drivers behind ``repro-anon experiment``.
 """
 
 from repro.experiments.configs import (
@@ -17,6 +19,7 @@ from repro.experiments.configs import (
     variant_name,
 )
 from repro.experiments.figures import FigureResult, compute_figure
+from repro.experiments.registry import experiment_names, run_experiment
 from repro.experiments.runner import ExperimentRunner, RunOutcome
 from repro.experiments.table1 import (
     Table1Block,
@@ -35,6 +38,8 @@ __all__ = [
     "Table1Block",
     "compute_figure",
     "FigureResult",
+    "experiment_names",
+    "run_experiment",
     "AGGLOMERATIVE_VARIANTS",
     "DEFAULT_SIZES",
     "PAPER_SIZES",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.distances import distance_names
 from repro.experiments.configs import variant_name
 from repro.report import format_table
 from repro.experiments.runner import ExperimentRunner
@@ -57,7 +58,7 @@ def distance_ablation(
             k: runner.agglomerative(dataset, measure, k, name, False).cost
             for k in ks
         }
-        for name in ("d1", "d2", "d3", "d4", "nc")
+        for name in distance_names()
     }
     return DistanceAblation(dataset=dataset, measure=measure, ks=ks, costs=costs)
 

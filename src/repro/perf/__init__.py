@@ -2,9 +2,11 @@
 
 Three concerns live here, one module each:
 
-* :mod:`repro.perf.plan` — enumerate the :class:`~repro.experiments.runner.RunKey`
+* :mod:`repro.perf.plan` — the :class:`~repro.experiments.runner.RunKey`
   cells an experiment will request, in the exact order the serial code
-  requests them.  A plan is pure data, so it can be fanned out.
+  requests them, recorded by running the experiment's own driver
+  against a runner that computes nothing.  A plan is pure data, so it
+  can be fanned out.
 * :mod:`repro.perf.parallel` — run a plan's cells on a
   ``ProcessPoolExecutor`` and merge the outcomes back into an
   :class:`~repro.experiments.runner.ExperimentRunner` in deterministic
@@ -41,9 +43,10 @@ from repro.perf.equivalence import (
     canonical_journal_entries,
     check_backend_equivalence,
     check_parallel_equivalence,
+    plan_cells,
 )
 from repro.perf.parallel import ParallelStats, run_parallel
-from repro.perf.plan import plan_cells, plan_experiment
+from repro.perf.plan import plan_experiment
 from repro.perf.serve_bench import percentile, serve_cases
 
 __all__ = [

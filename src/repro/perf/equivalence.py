@@ -25,10 +25,9 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.backend import BACKENDS, forced_backend
-from repro.experiments.configs import ExperimentConfig
+from repro.experiments.configs import AGGLOMERATIVE_VARIANTS, ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.perf.parallel import run_parallel
-from repro.perf.plan import plan_cells
 from repro.runtime import Journal
 from repro.verify.invariants import Violation
 
@@ -46,6 +45,51 @@ def _canonical_outcome(outcome_json: dict) -> dict:
     canonical["seconds"] = 0.0
     canonical.pop("metrics", None)
     return canonical
+
+
+def plan_cells(
+    config: ExperimentConfig | None = None,
+    datasets: tuple[str, ...] | None = None,
+    measures: tuple[str, ...] | None = None,
+    ks: tuple[int, ...] | None = None,
+) -> list[RunKey]:
+    """A representative every-kind grid (used by the equivalence checks).
+
+    One cell per runner entry point and option axis: the eight
+    agglomerative variants, the forest baseline, all four (k,k)
+    expander/join-target combinations and the global-(1,k) conversion,
+    for every requested dataset × measure × k.
+    """
+    config = config or ExperimentConfig()
+    datasets = datasets or config.datasets
+    measures = measures or config.measures
+    ks = ks or config.ks
+    keys: list[RunKey] = []
+    for dataset in datasets:
+        for measure in measures:
+            for k in ks:
+                for distance, modified in AGGLOMERATIVE_VARIANTS:
+                    keys.append(
+                        RunKey(
+                            "agg", dataset, measure, k,
+                            distance=distance, modified=modified,
+                        )
+                    )
+                keys.append(RunKey("forest", dataset, measure, k))
+                for expander in ("expansion", "nearest"):
+                    for join_with in ("generalized", "original"):
+                        keys.append(
+                            RunKey(
+                                "kk", dataset, measure, k,
+                                expander=expander, join_with=join_with,
+                            )
+                        )
+                keys.append(
+                    RunKey(
+                        "global", dataset, measure, k, expander="expansion"
+                    )
+                )
+    return list(dict.fromkeys(keys))
 
 
 def canonical_journal_entries(journal: Journal) -> list[str]:

@@ -1,154 +1,63 @@
 """Cell plans: the RunKeys an experiment requests, in request order.
 
-The experiment drivers (:mod:`repro.experiments.table1`, ``figures``,
-``ablations``) pull memoized cells from the runner one call at a time;
-to fan a grid out over worker processes we need the same cell list *up
-front*.  Each ``*_cells`` function below mirrors its driver's call order
-exactly, so that
+The experiment drivers pull memoized cells from the runner one call at a
+time; to fan a grid out over worker processes we need the same cell
+list *up front*.  :func:`plan_experiment` gets it by running the
+experiment's own driver (:func:`repro.experiments.run_experiment`)
+against a runner that records each requested cell instead of computing
+it, so a plan follows the driver's call order by construction:
 
 * prefetching the plan and then running the driver serially produces a
   journal byte-identical (modulo timings) to a plain serial run, and
 * a plan is duplicate-free in first-occurrence order, matching the
   memoization behaviour (only the first request computes and journals).
 
-Planning is best-effort by construction: a cell missing from a plan is
-simply computed serially by the driver (the memo misses), and a stale
-extra cell just wastes one worker slot — correctness never depends on
-the plan being complete.  Experiments whose work does not flow through
-the runner memo (``fig1``, ``global1k``, ``scaling``, ``epsilon``) have
-empty plans.
+Recording stops at the first request for data (an encoded table or a
+cost model): planning never loads a dataset or runs an algorithm.  It is
+best-effort by construction: a cell missing from a plan is simply
+computed serially by the driver (the memo misses), and a stale extra
+cell just wastes one worker slot — correctness never depends on the
+plan being complete.
 """
 
 from __future__ import annotations
 
+import io
+from typing import Any, Callable, NoReturn
+
 from repro.errors import ExperimentError
-from repro.experiments.configs import AGGLOMERATIVE_VARIANTS, ExperimentConfig
-from repro.experiments.runner import RunKey
+from repro.experiments import experiment_names, run_experiment
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.runner import ExperimentRunner, RunKey, RunOutcome
 
-#: Experiment names accepted by :func:`plan_experiment` — the same set
-#: the ``repro-anon experiment`` subcommand accepts.
-PLANNABLE_EXPERIMENTS = (
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "ablations",
-    "global1k",
-    "scaling",
-    "epsilon",
-    "all",
-)
-
-#: The distances swept by ablation A1 (paper's four + Nergiz–Clifton).
-_A1_DISTANCES = ("d1", "d2", "d3", "d4", "nc")
+#: Experiments whose drivers request their cells through the runner
+#: memo.  The others (``fig1``, ``global1k``, ``scaling``, ``epsilon``)
+#: plan to the empty list without being run.
+_RECORDED = ("table1", "fig2", "fig3", "ablations", "all")
 
 
-def _dedupe(keys: list[RunKey]) -> list[RunKey]:
-    """Drop duplicate cells, keeping first occurrences in order."""
-    return list(dict.fromkeys(keys))
+class _StopRecording(Exception):
+    """A driver asked for data: the plan ends at that request."""
 
 
-def block_cells(
-    config: ExperimentConfig, dataset: str, measure: str
-) -> list[RunKey]:
-    """Cells of one Table I block, in ``compute_block`` call order."""
-    keys: list[RunKey] = []
-    for distance, modified in AGGLOMERATIVE_VARIANTS:
-        for k in config.ks:
-            keys.append(
-                RunKey(
-                    "agg", dataset, measure, k,
-                    distance=distance, modified=modified,
-                )
-            )
-    for k in config.ks:
-        keys.append(RunKey("forest", dataset, measure, k))
-    for k in config.ks:
-        keys.append(
-            RunKey(
-                "kk", dataset, measure, k,
-                expander="expansion", join_with="generalized",
-            )
-        )
-        keys.append(
-            RunKey(
-                "kk", dataset, measure, k,
-                expander="nearest", join_with="generalized",
-            )
-        )
-    return keys
+class _Recorder(ExperimentRunner):
+    """A runner that records requested cells and computes nothing."""
 
+    def __init__(self, config: ExperimentConfig) -> None:
+        super().__init__(config)
+        self.keys: dict[RunKey, None] = {}
 
-def table1_cells(config: ExperimentConfig) -> list[RunKey]:
-    """Cells of the full Table I grid, in ``compute_table1`` order."""
-    keys: list[RunKey] = []
-    for dataset in config.datasets:
-        for measure in config.measures:
-            keys.extend(block_cells(config, dataset, measure))
-    return keys
+    def encoded(self, dataset: str) -> NoReturn:
+        raise _StopRecording
 
+    def model(self, dataset: str, measure: str) -> NoReturn:
+        raise _StopRecording
 
-def figure_cells(config: ExperimentConfig, figure: str) -> list[RunKey]:
-    """Cells of Figure 2 (entropy) or Figure 3 (LM) — one Adult block."""
-    if figure == "fig2":
-        return block_cells(config, "adult", "entropy")
-    if figure == "fig3":
-        return block_cells(config, "adult", "lm")
-    raise ExperimentError(f"unknown figure {figure!r}; expected fig2 or fig3")
-
-
-def ablation_cells(config: ExperimentConfig) -> list[RunKey]:
-    """Cells of the A1–A4 ablations, in driver call order."""
-    keys: list[RunKey] = []
-    for dataset in config.datasets:
-        for measure in config.measures:
-            # A1 distances: basic algorithm, every distance, every k.
-            for name in _A1_DISTANCES:
-                for k in config.ks:
-                    keys.append(
-                        RunKey("agg", dataset, measure, k, distance=name)
-                    )
-            # A2 couplings: the expansion sweep, then the nearest sweep.
-            for k in config.ks:
-                keys.append(
-                    RunKey(
-                        "kk", dataset, measure, k,
-                        expander="expansion", join_with="generalized",
-                    )
-                )
-            for k in config.ks:
-                keys.append(
-                    RunKey(
-                        "kk", dataset, measure, k,
-                        expander="nearest", join_with="generalized",
-                    )
-                )
-            # A3 modified: basic vs modified per distance, per k.
-            for distance in ("d1", "d2", "d3", "d4"):
-                for modified in (False, True):
-                    for k in config.ks:
-                        keys.append(
-                            RunKey(
-                                "agg", dataset, measure, k,
-                                distance=distance, modified=modified,
-                            )
-                        )
-            # A4 join target: Algorithm 5 joining R̄_i vs R_i.
-            for k in config.ks:
-                keys.append(
-                    RunKey(
-                        "kk", dataset, measure, k,
-                        expander="expansion", join_with="generalized",
-                    )
-                )
-            for k in config.ks:
-                keys.append(
-                    RunKey(
-                        "kk", dataset, measure, k,
-                        expander="expansion", join_with="original",
-                    )
-                )
-    return keys
+    def _memo(
+        self, key: RunKey, fn: Callable[[], tuple[float, dict[str, Any]]]
+    ) -> RunOutcome:
+        self.keys.setdefault(key, None)
+        return RunOutcome(cost=1.0, seconds=0.0)
 
 
 def plan_experiment(
@@ -156,73 +65,19 @@ def plan_experiment(
 ) -> list[RunKey]:
     """The duplicate-free cell plan of one named experiment.
 
-    Mirrors ``repro.cli._dispatch_experiment``: ``all`` concatenates the
-    sub-experiments in report order; experiments that bypass the runner
-    memo plan to the empty list.
+    ``all`` records its sub-experiments in report order up to the first
+    section that bypasses the runner memo.
     """
-    config = config or ExperimentConfig()
-    if name not in PLANNABLE_EXPERIMENTS:
+    if name not in experiment_names():
         raise ExperimentError(
             f"unknown experiment {name!r}; expected one of "
-            f"{', '.join(PLANNABLE_EXPERIMENTS)}"
+            f"{', '.join(experiment_names())}"
         )
-    keys: list[RunKey] = []
-    if name == "table1":
-        keys = table1_cells(config)
-    elif name in ("fig2", "fig3"):
-        keys = figure_cells(config, name)
-    elif name == "ablations":
-        keys = ablation_cells(config)
-    elif name == "all":
-        keys = (
-            table1_cells(config)
-            + figure_cells(config, "fig2")
-            + figure_cells(config, "fig3")
-            + ablation_cells(config)
-        )
-    return _dedupe(keys)
-
-
-def plan_cells(
-    config: ExperimentConfig | None = None,
-    datasets: tuple[str, ...] | None = None,
-    measures: tuple[str, ...] | None = None,
-    ks: tuple[int, ...] | None = None,
-) -> list[RunKey]:
-    """A representative every-kind grid (used by the equivalence checks).
-
-    One cell per runner entry point and option axis: the eight
-    agglomerative variants, the forest baseline, all four (k,k)
-    expander/join-target combinations and the global-(1,k) conversion,
-    for every requested dataset × measure × k.
-    """
-    config = config or ExperimentConfig()
-    datasets = datasets or config.datasets
-    measures = measures or config.measures
-    ks = ks or config.ks
-    keys: list[RunKey] = []
-    for dataset in datasets:
-        for measure in measures:
-            for k in ks:
-                for distance, modified in AGGLOMERATIVE_VARIANTS:
-                    keys.append(
-                        RunKey(
-                            "agg", dataset, measure, k,
-                            distance=distance, modified=modified,
-                        )
-                    )
-                keys.append(RunKey("forest", dataset, measure, k))
-                for expander in ("expansion", "nearest"):
-                    for join_with in ("generalized", "original"):
-                        keys.append(
-                            RunKey(
-                                "kk", dataset, measure, k,
-                                expander=expander, join_with=join_with,
-                            )
-                        )
-                keys.append(
-                    RunKey(
-                        "global", dataset, measure, k, expander="expansion"
-                    )
-                )
-    return _dedupe(keys)
+    if name not in _RECORDED:
+        return []
+    recorder = _Recorder(config or ExperimentConfig())
+    try:
+        run_experiment(name, recorder, io.StringIO())
+    except _StopRecording:
+        pass
+    return list(recorder.keys)

@@ -614,7 +614,7 @@ class TestSummarize:
 
 
 # --------------------------------------------------------------------- #
-# CLI surfaces: --trace/--metrics and the trace subcommand
+# CLI surfaces: --trace/--metrics and the obs convert/summarize subcommands
 # --------------------------------------------------------------------- #
 
 
@@ -651,7 +651,7 @@ class TestCli:
                 pass
         out_path = tmp_path / "trace.chrome.json"
         code = main([
-            "trace", "convert", str(trace_path), "--out", str(out_path)
+            "obs", "convert", str(trace_path), "--out", str(out_path)
         ])
         assert code == 0
         assert "1 spans converted" in capsys.readouterr().out
@@ -671,7 +671,7 @@ class TestCli:
         registry.inc("layer.widgets", 7)
         metrics_path.write_text(json.dumps(registry.snapshot()))
         code = main([
-            "trace", "summarize", str(trace_path),
+            "obs", "summarize", "--trace", str(trace_path),
             "--metrics", str(metrics_path),
         ])
         assert code == 0
@@ -682,5 +682,5 @@ class TestCli:
     def test_trace_summarize_without_inputs_is_an_error(self, capsys):
         from repro.cli import main
 
-        assert main(["trace", "summarize"]) == 2
+        assert main(["obs", "summarize"]) == 2
         assert "--metrics" in capsys.readouterr().err

@@ -6,7 +6,7 @@ The acceptance drills for the performance subsystem live here:
   (same costs, same journal bytes modulo timings) — asserted both on
   the library surface (:func:`check_parallel_equivalence`) and through
   the CLI (``--workers 4`` output equals ``--workers 1`` output);
-* cell plans mirror the serial drivers' call order exactly;
+* cell plans, recorded from the serial drivers, equal their journals;
 * each hot-path optimization matches its kept reference implementation;
 * bench reports are schema-versioned, comparable, and the committed
   ``BENCH_*.json`` baseline clears every enforced speedup floor.
@@ -14,6 +14,7 @@ The acceptance drills for the performance subsystem live here:
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -22,7 +23,8 @@ import pytest
 
 from repro.datasets import load
 from repro.errors import ExperimentError, ReproError
-from repro.experiments.configs import ExperimentConfig
+from repro.experiments import experiment_names, run_experiment
+from repro.experiments.configs import PAPER_SIZES, ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey, RunOutcome
 from repro.measures.entropy import (
     EntropyMeasure,
@@ -361,31 +363,74 @@ def _journaled_keys(journal: Journal) -> list[RunKey]:
 
 
 class TestPlans:
-    def test_fig2_plan_matches_serial_journal_exactly(self, tmp_path):
-        from repro.experiments.figures import compute_figure
-
-        journal = Journal(tmp_path / "fig2.jsonl")
+    @pytest.mark.parametrize(
+        "name", ["table1", "fig2", "fig3", "ablations", "all"]
+    )
+    def test_plan_matches_serial_journal_exactly(self, name, tmp_path):
+        journal = Journal(tmp_path / f"{name}.jsonl")
         runner = ExperimentRunner(SMALL, journal=journal)
-        compute_figure(runner, "fig2")
-        assert plan_experiment("fig2", SMALL) == _journaled_keys(journal)
+        run_experiment(name, runner, io.StringIO())
+        assert plan_experiment(name, SMALL) == _journaled_keys(journal)
 
-    def test_ablations_plan_matches_serial_journal_exactly(self, tmp_path):
-        from repro.experiments.ablations import (
-            coupling_ablation,
-            distance_ablation,
-            join_target_ablation,
-            modified_ablation,
-        )
+    def test_reordered_driver_still_plans_its_journal(
+        self, tmp_path, monkeypatch
+    ):
+        # The plan is recorded from the driver, so changing a driver's
+        # call order changes the plan with it: there is no mirror left
+        # to drift.
+        from repro.experiments import table1
 
-        journal = Journal(tmp_path / "abl.jsonl")
+        unpatched = plan_experiment("table1", SMALL)
+        original = table1.compute_block
+
+        def forest_first(runner, dataset, measure):
+            for k in runner.config.ks:
+                runner.forest(dataset, measure, k)
+            return original(runner, dataset, measure)
+
+        monkeypatch.setattr(table1, "compute_block", forest_first)
+        journal = Journal(tmp_path / "table1.jsonl")
         runner = ExperimentRunner(SMALL, journal=journal)
-        for dataset in SMALL.datasets:
-            for measure in SMALL.measures:
-                distance_ablation(runner, dataset, measure)
-                coupling_ablation(runner, dataset, measure)
-                modified_ablation(runner, dataset, measure)
-                join_target_ablation(runner, dataset, measure)
-        assert plan_experiment("ablations", SMALL) == _journaled_keys(journal)
+        run_experiment("table1", runner, io.StringIO())
+        plan = plan_experiment("table1", SMALL)
+        assert plan == _journaled_keys(journal)
+        assert plan[0].kind == "forest"
+        assert plan != unpatched and set(plan) == set(unpatched)
+
+    def test_planning_loads_no_dataset_and_runs_no_algorithm(
+        self, monkeypatch
+    ):
+        from repro.datasets import registry
+        from repro.experiments import runner as runner_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning must not load or compute")
+
+        monkeypatch.setattr(registry, "load", refuse)
+        for name in (
+            "load",
+            "agglomerative_clustering",
+            "forest_clustering",
+            "kk_anonymize",
+            "global_one_k_anonymize",
+        ):
+            monkeypatch.setattr(runner_module, name, refuse)
+        paper = ExperimentConfig(sizes=dict(PAPER_SIZES))
+        sizes = {
+            name: len(plan_experiment(name, paper))
+            for name in experiment_names()
+        }
+        assert sizes == {
+            "table1": 264,
+            "fig1": 0,
+            "fig2": 44,
+            "fig3": 44,
+            "ablations": 288,
+            "global1k": 0,
+            "scaling": 0,
+            "epsilon": 0,
+            "all": 312,
+        }
 
     def test_plans_are_duplicate_free(self):
         for name in ("table1", "fig2", "fig3", "ablations", "all"):
