@@ -109,30 +109,20 @@ class _Engine:
     def _init_distances(self) -> None:
         """All-pairs singleton distances, filled in row blocks.
 
-        ``cols[j][a, i]`` prices the union of node a with record i's
-        singleton node in attribute j: the fused table of
-        :meth:`CostModel.join_cost_tables` with its columns picked per
-        record.  Each block of :data:`_FILL_BLOCK_CELLS` cells sums the
-        rows of those tables in ``record_cost``'s attribute order, so
+        Each block of :data:`_FILL_BLOCK_CELLS` cells is one block read
+        of the singleton nodes bound with :meth:`CostModel.bind`, so
         every cell is the float a one-shot broadcast fill would give
         while the temporaries stay one block in size.
         """
-        enc = self.enc
-        n, r = enc.num_records, enc.num_attributes
+        n = self.enc.num_records
         col = self.nodes
-        cols = [
-            table[:, col[:, j]]
-            for j, table in enumerate(self.model.join_cost_tables())
-        ]
+        candidates = self.model.bind(col)
         self.matrix = np.empty((n, n), dtype=np.float64)
         step = max(1, _FILL_BLOCK_CELLS // n)
         for lo in range(0, n, step):
             checkpoint("core.agglomerative.init")
             hi = min(lo + step, n)
-            cost_union = np.zeros((hi - lo, n), dtype=np.float64)
-            for j in range(r):
-                cost_union += cols[j][col[lo:hi, j]]
-            cost_union /= r
+            cost_union = candidates.join_cost_block(col[lo:hi])
             block = np.asarray(
                 self.distance.evaluate(
                     self.sizes[lo:hi, None],
@@ -155,10 +145,7 @@ class _Engine:
 
         Union costs are priced for the *active* slots only, with
         :meth:`CostModel.join_costs`: late in a run most slots are
-        retired, so the dense per-slot sweep of
-        :meth:`_distances_from_dense` wastes most of its work.  Both
-        produce bit-identical rows (same element-wise operations on the
-        same values); the dense form is kept as the benchmark reference.
+        retired, so pricing every slot would waste most of the work.
         """
         act = np.flatnonzero(self.active)
         cost_union = self.model.join_costs(self.nodes[act], self.nodes[x])
@@ -171,20 +158,6 @@ class _Engine:
         )
         dist = np.full(self.active.size, np.inf, dtype=np.float64)
         dist[act] = np.asarray(d, dtype=np.float64)
-        dist[x] = np.inf
-        return dist
-
-    def _distances_from_dense(self, x: int) -> np.ndarray:
-        """Dense (all-slot) form of :meth:`_distances_from` — reference
-        implementation for the ``agglomerative-distances`` benchmark pair."""
-        enc, model = self.enc, self.model
-        union = enc.join_rows(self.nodes, self.nodes[x])
-        cost_union = model.record_cost(union)
-        dist = self.distance.evaluate(
-            self.sizes[x], self.costs[x], self.sizes, self.costs, cost_union
-        )
-        dist = np.asarray(dist, dtype=np.float64).copy()
-        dist[~self.active] = np.inf
         dist[x] = np.inf
         return dist
 

@@ -86,12 +86,11 @@ def global_one_k_anonymize(
             f"node matrix has shape {nodes.shape}, expected "
             f"{(n, enc.num_attributes)}"
         )
-    # repro: allow[REP011] O(n) precondition validation before the checkpointed conversion passes
-    for i in range(n):
-        if not bool(enc.consistency_mask(i, nodes[i])):
-            raise AnonymityError(
-                f"generalized record {i} does not generalize original record {i}"
-            )
+    bad = np.flatnonzero(~enc.generalizes_rows(nodes))
+    if bad.size:
+        raise AnonymityError(
+            f"generalized record {bad[0]} does not generalize original record {bad[0]}"
+        )
     if max_passes is None:
         max_passes = k + 1
 

@@ -54,11 +54,12 @@ def k1_nearest_neighbors(model: CostModel, k: int) -> np.ndarray:
     counts = enc.unique_counts
     u = enc.num_unique
     unique_result = np.empty_like(u_nodes)
+    candidates = model.bind(u_nodes)
 
     for a in range(u):
         checkpoint("core.k1.row")
         # closure({row_a, row_b}) costs against every unique row
-        pair_cost = model.join_costs(u_nodes, u_nodes[a])
+        pair_cost = candidates.join_costs(u_nodes[a])
         order = np.argsort(pair_cost, kind="stable")
 
         closure = u_nodes[a].copy()
@@ -92,8 +93,9 @@ def k1_expansion(model: CostModel, k: int) -> np.ndarray:
     negative under the entropy measure — generalizing into a subset
     dominated by a frequent value can *reduce* conditional entropy — so
     the argmin is re-evaluated from scratch every step.  The scan
-    prices candidate unions with :meth:`CostModel.join_costs` and
-    materializes only the union row actually chosen.
+    prices candidate unions against the unique rows bound once with
+    :meth:`CostModel.bind` and materializes only the union row actually
+    chosen.
 
     Returns the ``[n, r]`` node matrix of the (k,1)-anonymization.
     """
@@ -106,6 +108,7 @@ def k1_expansion(model: CostModel, k: int) -> np.ndarray:
     counts = enc.unique_counts
     u = enc.num_unique
     unique_result = np.empty_like(u_nodes)
+    candidates = model.bind(u_nodes)
 
     for a in range(u):
         checkpoint("core.k1.row")
@@ -116,7 +119,7 @@ def k1_expansion(model: CostModel, k: int) -> np.ndarray:
         size = 1
         while size < k:
             checkpoint("core.k1.grow")
-            cost_union = model.join_costs(u_nodes, cur)  # [u]
+            cost_union = candidates.join_costs(cur)  # [u]
             delta = cost_union - cur_cost
             delta[remaining <= 0] = np.inf
             b = int(delta.argmin())

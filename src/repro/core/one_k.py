@@ -76,12 +76,11 @@ def one_k_anonymize(
 
     # Precondition of the algorithm ("It is assumed that for all i,
     # R̄_i is a generalization of R_i").
-    # repro: allow[REP011] O(n) precondition validation before the checkpointed main loop
-    for i in range(n):
-        if not bool(enc.consistency_mask(i, nodes[i])):
-            raise AnonymityError(
-                f"generalized record {i} does not generalize original record {i}"
-            )
+    bad = np.flatnonzero(~enc.generalizes_rows(nodes))
+    if bad.size:
+        raise AnonymityError(
+            f"generalized record {bad[0]} does not generalize original record {bad[0]}"
+        )
 
     for i in range(n):
         checkpoint("core.one_k.record")

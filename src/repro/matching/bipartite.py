@@ -12,7 +12,9 @@ records on the right, and an edge wherever the two are consistent
 
 Construction is vectorized: identical original rows have identical
 neighbourhoods, so consistency is evaluated once per unique row against
-all generalized records via the precomputed ancestor tables.
+all generalized records.  Each attribute's ancestor table is cut once to
+the generalized records' columns, so a unique row's sweep ANDs one
+contiguous boolean row per attribute.
 """
 
 from __future__ import annotations
@@ -47,20 +49,27 @@ class ConsistencyGraph:
         self.enc = enc
         self.node_matrix = node_matrix
 
-        # One consistency sweep per unique original row.
+        # ``cut[j][v, i]``: does value v lie in record i's node for j?
+        # np.take keeps each row contiguous, unlike ``anc[:, cols]``.
+        cut = [
+            np.take(att.anc, node_matrix[:, j], axis=1)
+            for j, att in enumerate(enc.attrs)
+        ]
+        # One consistency sweep per unique original row; right-side
+        # degrees count each unique row's neighbours once per copy.
         unique_neighbours: list[NDArray[np.intp]] = []
-        for row in enc.unique_codes:
+        counts = np.zeros(n, dtype=np.int64)
+        for row, copies in zip(enc.unique_codes, enc.unique_counts):
             checkpoint("matching.bipartite.row")
-            mask = enc.consistency_mask_for_codes(row, node_matrix)
-            unique_neighbours.append(np.flatnonzero(mask))
+            mask = np.ones(n, dtype=bool)
+            for j, table in enumerate(cut):
+                mask &= table[row[j]]
+            neighbours = np.flatnonzero(mask)
+            unique_neighbours.append(neighbours)
+            counts[neighbours] += copies
         self.adjacency: list[NDArray[np.intp]] = [
             unique_neighbours[enc.unique_inverse[i]] for i in range(n)
         ]
-
-        # Right-side degrees: count over all left vertices.
-        counts = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            counts[self.adjacency[i]] += 1
         self._reverse_degrees = counts
 
     @property

@@ -233,8 +233,9 @@ class CostModel:
         Exactly ``record_cost(enc.join_rows(nodes_a, node_b))`` — same
         floats, same accumulation order — without materializing the
         union rows: one linearized gather reads every attribute's entry
-        of :meth:`join_cost_tables` at once.  Every candidate-union scan
-        in :mod:`repro.core` prices through this method.
+        of :meth:`join_cost_tables` at once.  Scans whose candidate set
+        changes between steps price through this method; fixed sets
+        use :meth:`bind`.
         """
         fused = self._join_tables
         if fused is None:
@@ -248,6 +249,16 @@ class CostModel:
         for j in range(r):
             total += picked[:, j]
         return total / r
+
+    def bind(self, candidates: np.ndarray) -> BoundCandidates:
+        """Bind a candidate set ``[m, r]`` that stays fixed for one call.
+
+        Scans that price many nodes against the same candidates
+        (Algorithms 3 and 4, the dense matrix fill) read the returned
+        object instead of :meth:`join_costs`, which stays the kernel
+        for candidate sets that change between steps.
+        """
+        return BoundCandidates(self, candidates)
 
     def table_cost(self, node_matrix: np.ndarray) -> float:
         """Π(D, g(D)) of a full ``[n, r]`` node matrix (eq. 3 / 4 form)."""
@@ -279,6 +290,44 @@ class CostModel:
                 f"clustering covers {covered} records, table has {n}"
             )
         return total / n
+
+
+class BoundCandidates:
+    """Union costs against a fixed candidate set ``[m, r]``.
+
+    Attribute j's table of :meth:`CostModel.join_cost_tables` is cut
+    once to the candidates' columns, a C-contiguous ``[num_nodes_j, m]``
+    array whose row ``a`` prices node ``a`` against every candidate.  A
+    read adds ``r`` such rows in ``record_cost``'s attribute order: the
+    floats of :meth:`CostModel.join_costs`, as join tables are symmetric.
+    """
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, model: CostModel, candidates: np.ndarray) -> None:
+        # np.take, unlike ``table[:, cols]``, returns C-ordered rows.
+        self._tables = tuple(
+            np.take(table, candidates[:, j], axis=1)
+            for j, table in enumerate(model.join_cost_tables())
+        )
+
+    def join_costs(self, node: np.ndarray) -> np.ndarray:
+        """``float64[m]``: union cost of ``node`` with every candidate."""
+        tables = self._tables
+        total = np.zeros(tables[0].shape[1], dtype=np.float64)
+        for j, table in enumerate(tables):
+            total += table[node[j]]
+        total /= len(tables)
+        return total
+
+    def join_cost_block(self, nodes: np.ndarray) -> np.ndarray:
+        """``float64[B, m]``: :meth:`join_costs` of each row of ``nodes``."""
+        tables = self._tables
+        total = np.zeros((nodes.shape[0], tables[0].shape[1]), dtype=np.float64)
+        for j, table in enumerate(tables):
+            total += table[nodes[:, j]]
+        total /= len(tables)
+        return total
 
 
 def evaluate_record_measure(

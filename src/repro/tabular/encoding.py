@@ -318,15 +318,15 @@ class EncodedTable:
             mask &= att.anc[codes[j], gen_nodes[..., j]]
         return mask
 
-    def consistency_mask_for_codes(
-        self, codes: np.ndarray, gen_nodes: np.ndarray
-    ) -> np.ndarray:
-        """Like :meth:`consistency_mask` but for an explicit code vector."""
-        gen_nodes = np.asarray(gen_nodes)
-        mask = np.ones(gen_nodes.shape[:-1], dtype=bool)
+    def generalizes_rows(self, node_matrix: np.ndarray) -> np.ndarray:
+        """``bool[n]``: whether generalized record i (row i of the
+        ``[n, r]`` ``node_matrix``) is consistent with original record i
+        (Definition 3.3)."""
+        node_matrix = np.asarray(node_matrix)
+        ok = np.ones(self.num_records, dtype=bool)
         for j, att in enumerate(self.attrs):
-            mask &= att.anc[codes[j], gen_nodes[..., j]]
-        return mask
+            ok &= att.anc[self.codes[:, j], node_matrix[:, j]]
+        return ok
 
     # ------------------------------------------------------------------ #
     # decoding

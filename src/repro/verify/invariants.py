@@ -228,15 +228,14 @@ def check_generalization(
                 )
             )
             return out
-    for i in range(n):
-        if not bool(enc.consistency_mask(i, node_matrix[i])):
-            out.append(
-                Violation(
-                    "output.generalizes",
-                    f"{label}: record {i} is not consistent with its "
-                    "generalization (Def. 3.3 breach)",
-                )
+    for i in np.flatnonzero(~enc.generalizes_rows(node_matrix)):
+        out.append(
+            Violation(
+                "output.generalizes",
+                f"{label}: record {i} is not consistent with its "
+                "generalization (Def. 3.3 breach)",
             )
+        )
     if not satisfies(enc, node_matrix, notion, k):
         out.append(
             Violation(

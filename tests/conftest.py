@@ -107,3 +107,23 @@ def make_random_table(
         for _ in range(n)
     ]
     return Table(schema, rows)
+
+
+def breach_rows(enc: EncodedTable, bad: tuple[int, ...]) -> np.ndarray:
+    """A fully suppressed node matrix except that each record in ``bad``
+    is published as the singleton row of a record it is inconsistent
+    with, so exactly the records in ``bad`` fail to generalize their own
+    rows."""
+    nodes = np.array(
+        [[att.full_node for att in enc.attrs]] * enc.num_records,
+        dtype=np.int32,
+    )
+    for i in bad:
+        other = next(
+            j
+            for j in range(enc.num_records)
+            if not enc.consistency_mask(i, enc.singleton_nodes[j])
+        )
+        nodes[i] = enc.singleton_nodes[other]
+    assert np.flatnonzero(~enc.generalizes_rows(nodes)).tolist() == sorted(bad)
+    return nodes

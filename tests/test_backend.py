@@ -45,9 +45,10 @@ from repro.errors import ReproError
 from repro.measures.base import CostModel
 from repro.measures.registry import get_measure, measure_names
 from repro.obs import MetricsRegistry, metrics_scope
-from repro.tabular.attribute import Attribute
+from repro.datasets import dataset_names, load
+from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.encoding import EncodedTable
-from repro.tabular.hierarchy import SubsetCollection
+from repro.tabular.hierarchy import IntervalCollection, SubsetCollection
 from repro.tabular.table import Schema, Table
 
 from tests.conftest import make_random_table
@@ -391,25 +392,40 @@ def test_matrix_free_niche_adult_20k():
 
 
 class TestFusedJoinCost:
-    """``CostModel.join_costs`` is the only union-pricing path of the
-    candidate scans in ``repro.core``; the unfused ``join_rows`` +
-    ``record_cost`` pair is its oracle."""
+    """Union pricing: ``CostModel.join_costs`` for candidate sets that
+    change within a scan, the reads of ``CostModel.bind`` for fixed
+    ones.  The unfused ``join_rows`` + ``record_cost`` pair is the
+    oracle of both, so they give the same floats."""
 
     @staticmethod
     def _assert_matches_oracle(model, seed):
         enc = model.enc
         rng = np.random.default_rng(seed)
         nodes = enc.singleton_nodes
-        for _ in range(20):
+        for size in (1, 2, 9) * 7:
             rows = enc.join_rows(
-                nodes[rng.integers(0, enc.num_records, size=9)],
+                nodes[rng.integers(0, enc.num_records, size=size)],
                 nodes[int(rng.integers(0, enc.num_records))],
             )
-            b = nodes[int(rng.integers(0, enc.num_records))]
-            expect = np.asarray(model.record_cost(enc.join_rows(rows, b)))
-            got = model.join_costs(rows, b)
-            assert got.dtype == np.float64
-            assert got.tobytes() == expect.astype(np.float64).tobytes()
+            bs = enc.join_rows(
+                nodes[rng.integers(0, enc.num_records, size=3)],
+                nodes[rng.integers(0, enc.num_records, size=3)],
+            )
+            bound = model.bind(rows)
+            expect = [
+                np.asarray(
+                    model.record_cost(enc.join_rows(rows, b)), dtype=np.float64
+                ).tobytes()
+                for b in bs
+            ]
+            for b, want in zip(bs, expect):
+                got = model.join_costs(rows, b)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want
+                assert bound.join_costs(b).tobytes() == want
+            block = bound.join_cost_block(bs)
+            assert block.shape == (3, size)
+            assert block.tobytes() == b"".join(expect)
 
     @pytest.mark.parametrize("measure", measure_names())
     def test_bit_identical_to_record_cost(self, measure):
@@ -436,3 +452,53 @@ class TestFusedJoinCost:
             model.enc.singleton_nodes[0],
         )
         assert out.shape == (0,)
+
+    def test_bound_rows_are_contiguous(self):
+        model = _model(make_random_table(12, seed=1), "entropy")
+        bound = model.bind(model.enc.singleton_nodes[::3])
+        for table in bound._tables:
+            assert table.flags.c_contiguous
+            assert table.shape[1] == 4
+
+
+def _interval_table(n: int, seed: int) -> Table:
+    ages = integer_attribute("age", 20, 34)
+    colour = Attribute("colour", ["r", "g", "b", "y"])
+    schema = Schema(
+        [
+            IntervalCollection(ages),
+            SubsetCollection(colour, [["r", "g"], ["b", "y"]]),
+        ]
+    )
+    rng = np.random.default_rng(seed)
+    rows = [
+        (str(int(rng.integers(20, 35))), str(rng.choice(["r", "g", "b", "y"])))
+        for _ in range(n)
+    ]
+    return Table(schema, rows)
+
+
+class TestJoinTableSymmetry:
+    """``join[a, b] == join[b, a]`` for every attribute: the bound reads
+    cut columns by candidate and read rows by node, the transpose of
+    ``join_costs``'s gather, so they rely on it."""
+
+    @staticmethod
+    def _assert_symmetric(enc):
+        for att in enc.attrs:
+            assert np.array_equal(att.join, att.join.T)
+        model = CostModel(enc, get_measure("entropy"))
+        for table in model.join_cost_tables():
+            assert table.tobytes() == np.ascontiguousarray(table.T).tobytes()
+
+    def test_generic_collections(self):
+        self._assert_symmetric(
+            EncodedTable(make_random_table(20, seed=4, domain_sizes=(6, 5, 3)))
+        )
+
+    def test_interval_collection(self):
+        self._assert_symmetric(EncodedTable(_interval_table(40, seed=2)))
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_registered_datasets(self, name):
+        self._assert_symmetric(EncodedTable(load(name, n=200, seed=0)))

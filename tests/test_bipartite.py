@@ -5,6 +5,9 @@ import pytest
 
 from repro.matching.bipartite import ConsistencyGraph
 from repro.matching.hopcroft_karp import has_perfect_matching
+from repro.tabular.encoding import EncodedTable
+from repro.tabular.table import Table
+from tests.conftest import make_random_table
 
 
 class TestConsistencyGraph:
@@ -49,17 +52,31 @@ class TestConsistencyGraph:
             ConsistencyGraph(small_encoded, np.zeros((3, 2), dtype=np.int32))
 
     def test_edge_iff_consistent(self, small_encoded):
+        """Adjacency and right degrees equal Definition 3.3 evaluated
+        record by record, also on tables with duplicate rows and partly
+        generalized, partly breached publications."""
         enc = small_encoded
-        # Generalize a few records, then verify adjacency == definition.
         nodes = enc.singleton_nodes.copy()
         nodes[0] = enc.closure_of_records([0, 1, 2])
-        graph = ConsistencyGraph(enc, nodes)
-        for i in range(enc.num_records):
-            expected = set(
-                int(j)
-                for j in np.flatnonzero(enc.consistency_mask(i, nodes))
+        cases = [(enc, nodes)]
+        for seed in range(3):
+            base = make_random_table(15, seed=seed, domain_sizes=(5, 4, 3))
+            rng = np.random.default_rng(seed)
+            rows = [base.rows[int(i)] for i in rng.integers(0, 15, size=40)]
+            dup = EncodedTable(Table(base.schema, rows))
+            assert dup.num_unique < dup.num_records
+            single = dup.singleton_nodes
+            cases.append(
+                (dup, dup.join_rows(single, single[rng.permutation(40)]))
             )
-            assert set(graph.adjacency[i].tolist()) == expected
+        for enc, nodes in cases:
+            graph = ConsistencyGraph(enc, nodes)
+            degrees = np.zeros(enc.num_records, dtype=np.int64)
+            for i in range(enc.num_records):
+                expect = np.flatnonzero(enc.consistency_mask(i, nodes))
+                assert graph.adjacency[i].tobytes() == expect.tobytes()
+                degrees[expect] += 1
+            assert np.array_equal(graph.right_degrees(), degrees)
 
     def test_repr(self, small_encoded):
         graph = ConsistencyGraph(small_encoded, small_encoded.singleton_nodes)

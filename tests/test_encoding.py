@@ -103,6 +103,23 @@ class TestEncodedTable:
         full = np.array([a.full_node for a in enc.attrs], dtype=np.int32)
         assert enc.consistency_mask(0, full[None, :])[0]
 
+    def test_generalizes_rows_matches_consistency_mask(self, small_encoded):
+        enc = small_encoded
+        n = enc.num_records
+        rng = np.random.default_rng(0)
+        # Each row published as the closure of itself and a random other
+        # record, or as a random other record's singleton (usually a breach).
+        nodes = enc.join_rows(
+            enc.singleton_nodes, enc.singleton_nodes[rng.permutation(n)]
+        )
+        swapped = rng.random(n) < 0.3
+        nodes[swapped] = enc.singleton_nodes[rng.integers(0, n, swapped.sum())]
+        expect = [bool(enc.consistency_mask(i, nodes[i])) for i in range(n)]
+        got = enc.generalizes_rows(nodes)
+        assert got.dtype == bool and got.shape == (n,)
+        assert got.tolist() == expect
+        assert not all(expect) and any(expect)
+
     def test_decode_roundtrip(self, small_encoded):
         enc = small_encoded
         gtable = enc.decode_table(enc.singleton_nodes)

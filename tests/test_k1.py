@@ -102,3 +102,85 @@ class TestExpansionVsNearest:
         exp_cost = model.table_cost(k1_expansion(model, 5))
         nn_cost = model.table_cost(k1_nearest_neighbors(model, 5))
         assert exp_cost <= nn_cost * 1.10 + 1e-9
+
+
+def _nearest_oracle(model, k):
+    """Algorithm 3 pricing every step with ``join_costs`` against the
+    unique rows: the scan before the candidates were bound once."""
+    enc = model.enc
+    u_nodes, counts = enc.unique_singleton_nodes, enc.unique_counts
+    out = np.empty_like(u_nodes)
+    for a in range(enc.num_unique):
+        pair_cost = model.join_costs(u_nodes, u_nodes[a])
+        closure = u_nodes[a].copy()
+        need = k - 1 - min(int(counts[a]) - 1, k - 1)
+        for b in np.argsort(pair_cost, kind="stable"):
+            if need <= 0:
+                break
+            if b != a:
+                closure = enc.join_rows(closure, u_nodes[b])
+                need -= min(int(counts[b]), need)
+        out[a] = closure
+    return out[enc.unique_inverse]
+
+
+def _expansion_oracle(model, k):
+    """Algorithm 4 pricing every step with ``join_costs``."""
+    enc = model.enc
+    u_nodes, counts = enc.unique_singleton_nodes, enc.unique_counts
+    out = np.empty_like(u_nodes)
+    for a in range(enc.num_unique):
+        remaining = counts.copy()
+        remaining[a] -= 1
+        cur = u_nodes[a].copy()
+        cur_cost = float(model.record_cost(cur))
+        for _ in range(k - 1):
+            cost_union = model.join_costs(u_nodes, cur)
+            delta = cost_union - cur_cost
+            delta[remaining <= 0] = np.inf
+            b = int(delta.argmin())
+            cur = enc.join_rows(u_nodes[b], cur)
+            cur_cost = float(cost_union[b])
+            remaining[b] -= 1
+        out[a] = cur
+    return out[enc.unique_inverse]
+
+
+class TestBoundScanMatchesJoinCosts:
+    """Algorithms 3 and 4 read candidate costs from the unique rows
+    bound once; the node matrices equal the per-step ``join_costs``
+    scan byte for byte."""
+
+    @staticmethod
+    def _assert_same(model, k):
+        assert (
+            k1_expansion(model, k).tobytes()
+            == _expansion_oracle(model, k).tobytes()
+        )
+        assert (
+            k1_nearest_neighbors(model, k).tobytes()
+            == _nearest_oracle(model, k).tobytes()
+        )
+
+    @pytest.mark.parametrize("measure", ["entropy", "lm"])
+    @pytest.mark.parametrize("dataset", ["cmc", "art"])
+    def test_paper_size(self, dataset, measure):
+        from repro.datasets import default_size, load
+        from repro.measures.registry import get_measure
+
+        enc = EncodedTable(load(dataset, n=default_size(dataset), seed=0))
+        self._assert_same(CostModel(enc, get_measure(measure)), 5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_random_tables_with_duplicates(self, seed, k):
+        from repro.measures.registry import get_measure, measure_names
+        from repro.tabular.table import Table
+
+        base = make_random_table(20, seed=seed, domain_sizes=(5, 4, 3, 2))
+        rng = np.random.default_rng(seed)
+        rows = [base.rows[int(i)] for i in rng.integers(0, 20, size=40)]
+        enc = EncodedTable(Table(base.schema, rows))
+        assert enc.num_unique < enc.num_records
+        for measure in measure_names():
+            self._assert_same(CostModel(enc, get_measure(measure)), k)

@@ -16,7 +16,7 @@ from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
 from repro.measures.lm import LMMeasure
 from repro.tabular.encoding import EncodedTable
-from tests.conftest import make_random_table
+from tests.conftest import breach_rows, make_random_table
 
 
 class TestKKAnonymize:
@@ -130,6 +130,13 @@ class TestGlobalConversion:
             pytest.skip("records 0 and 1 coincide")
         with pytest.raises(AnonymityError, match="does not generalize"):
             global_one_k_anonymize(entropy_model, bad, 2)
+
+    def test_error_names_the_first_failing_record(self, entropy_model):
+        nodes = breach_rows(entropy_model.enc, (11, 6, 20))
+        with pytest.raises(
+            AnonymityError, match=r"generalized record 6 does not"
+        ):
+            global_one_k_anonymize(entropy_model, nodes, 2)
 
     def test_shape_check(self, entropy_model):
         with pytest.raises(AnonymityError, match="shape"):

@@ -14,7 +14,7 @@ from repro.errors import AnonymityError
 from repro.measures.base import CostModel
 from repro.measures.entropy import EntropyMeasure
 from repro.tabular.encoding import EncodedTable
-from tests.conftest import make_random_table
+from tests.conftest import breach_rows, make_random_table
 
 
 class TestAlgorithm5:
@@ -83,6 +83,13 @@ class TestAlgorithm5:
         if (enc.codes[0] == enc.codes[1]).all():
             pytest.skip("records 0 and 1 happen to coincide")
         with pytest.raises(AnonymityError, match="does not generalize"):
+            one_k_anonymize(entropy_model, nodes, 2)
+
+    def test_error_names_the_first_failing_record(self, entropy_model):
+        nodes = breach_rows(entropy_model.enc, (9, 4, 17))
+        with pytest.raises(
+            AnonymityError, match=r"generalized record 4 does not"
+        ):
             one_k_anonymize(entropy_model, nodes, 2)
 
     def test_k_too_large_rejected(self, entropy_model):

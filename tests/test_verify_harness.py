@@ -125,3 +125,25 @@ class TestExtendedFuzz:
         report = fuzz(seed=2026, budget_seconds=60.0)
         assert report.ok, report.summary()
         assert report.cases_run > 50
+
+
+def test_check_generalization_reports_each_breached_record(small_encoded):
+    """``output.generalizes`` names every record whose published row is
+    inconsistent with it, in record order."""
+    from repro.verify.invariants import check_generalization
+    from tests.conftest import breach_rows
+
+    nodes = breach_rows(small_encoded, (12, 3))
+    found = [
+        v.detail
+        for v in check_generalization(small_encoded, nodes, "k", 2)
+        if v.invariant == "output.generalizes"
+    ]
+    assert found == [
+        f"output: record {i} is not consistent with its generalization "
+        "(Def. 3.3 breach)"
+        for i in (3, 12)
+    ]
+    assert check_generalization(
+        small_encoded, small_encoded.singleton_nodes, "k", 1
+    ) == []
