@@ -12,9 +12,9 @@ The paper's O(n²) bound is achieved by maintaining a full pairwise
 distance matrix plus per-row minima: each merge recomputes one row of
 distances (vectorized via the per-attribute join/cost tables) and rescans
 only the rows whose cached nearest neighbour was invalidated.  That
-matrix costs O(n²) memory, so above :data:`DENSE_MAX_RECORDS` records
-the matrix-free engine of :mod:`repro.core.columnar` runs instead; it
-reproduces the dense engine's merge sequence bit for bit.
+matrix costs O(n²) memory, so tables above :data:`DENSE_MAX_RECORDS`
+records are refused; :func:`repro.core.scalable.blocked_agglomerative`
+runs the same engine on bounded blocks of a larger table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from repro.core.backend import AUTO, resolve_backend
 from repro.core.clustering import Clustering
 from repro.core.distances import ClusterDistance
 from repro.errors import AnonymityError
@@ -31,46 +30,22 @@ from repro.measures.base import CostModel
 from repro.obs import count
 from repro.runtime import checkpoint
 
-#: Largest table the dense engine takes.  Its peak RSS is the float64
-#: matrix, 8 B per record pair, plus O(n): 241 MB at n=5000 and 825 MB
-#: at n=10k on ADT.  Up to n=5000, the largest size measured on both,
-#: it is the faster engine (2.6 s against 19 s with LM on a 2-CPU box).
-#: Above this only the matrix-free engine runs; it took 95 s and 62 MB
-#: on ADT at n=20k with LM.  ``$REPRO_BACKEND`` overrides the choice
-#: (:mod:`repro.core.backend`).
+#: Largest table :func:`agglomerative_clustering` takes.  The engine's
+#: peak RSS is its float64 distance matrix, 8 B per record pair, plus
+#: O(n): 241 MB at n=5000 and 825 MB at n=10k on ADT, growing 4× with
+#: every doubling of n.  Larger tables go to
+#: :func:`repro.core.scalable.blocked_agglomerative` or Mondrian.
 DENSE_MAX_RECORDS = 10_000
 
-#: Matrix cells the dense engine fills per block at init; a block's
+#: Matrix cells the engine fills per block at init; a block's
 #: temporaries stay near 0.5 MB whatever the table size.
 _FILL_BLOCK_CELLS = 1 << 16
 
 
 class _Engine:
-    """Mutable state for one run of Algorithm 1/2: the dense engine.
-
-    Subclass seam: the matrix-free
-    :class:`repro.core.columnar._ColumnarEngine` inherits the merge
-    loop, shrink step and leftover distribution unchanged and overrides
-    only the distance bookkeeping (``_init_distances``,
-    ``_refresh_row``, ``_rescan_row``, ``_deactivate``, ``_pair_value``)
-    with a bucketed scheme that reproduces this engine's
-    ``row_min``/``row_arg`` state — and therefore its merge sequence —
-    bit for bit.
-    """
+    """Mutable state for one run of Algorithm 1/2."""
 
     def __init__(self, model: CostModel, distance: ClusterDistance, k: int) -> None:
-        self._init_slots(model, distance, k)
-        self._init_distances()
-
-    def _init_slots(
-        self, model: CostModel, distance: ClusterDistance, k: int
-    ) -> None:
-        """Allocate the per-slot cluster state both engines share.
-
-        Split from ``__init__`` so benchmarks (and the matrix-free
-        subclass) can build an engine at an arbitrary prepared state
-        without paying for the dense all-pairs initialization.
-        """
         enc = model.enc
         n = enc.num_records
         self.enc = enc
@@ -101,6 +76,8 @@ class _Engine:
         self.stat_rescans = 0
         self.stat_shrink_candidates = 0
         self.stat_expelled = 0
+
+        self._init_distances()
 
     # ------------------------------------------------------------------ #
     # distance bookkeeping
@@ -188,11 +165,6 @@ class _Engine:
         self.row_arg[x] = a
         self.row_min[x] = row[a]
 
-    def _pair_value(self, x: int, y: int) -> float:
-        """The currently-recorded distance of the pair ``(x, y)`` — the
-        value ``_pop_closest_pair`` validates a cached minimum against."""
-        return float(self.matrix[x, y])
-
     def _pop_closest_pair(self) -> tuple[int, int] | None:
         """The true closest active pair, via lazy staleness validation.
 
@@ -203,7 +175,8 @@ class _Engine:
         when it is about to win the global argmin — the classic lazy
         scheme that keeps the engine at the paper's O(n²).
         """
-        row_min, row_arg, active = self.row_min, self.row_arg, self.active
+        row_min, row_arg = self.row_min, self.row_arg
+        active, matrix = self.active, self.matrix
         # repro: allow[REP011] lazy-deletion heap pops between core.agglomerative.merge checkpoints, bounded by heap size
         while True:
             self.stat_scanned += 1
@@ -212,7 +185,7 @@ class _Engine:
             if not math.isfinite(best):
                 return None
             y = int(row_arg[x])
-            if active[y] and self._pair_value(x, y) == best:
+            if active[y] and matrix[x, y] == best:
                 return x, y
             self.stat_rescans += 1
             self._rescan_row(x)
@@ -399,15 +372,6 @@ class _Engine:
             out_costs[target] = cost_union[target]
 
 
-def engine_for(n: int) -> str:
-    """The engine :func:`agglomerative_clustering` runs on ``n`` records:
-    ``"python"`` (dense) or ``"columnar"`` (matrix-free)."""
-    forced = resolve_backend(None)
-    if forced != AUTO:
-        return forced
-    return "columnar" if n > DENSE_MAX_RECORDS else "python"
-
-
 def agglomerative_clustering(
     model: CostModel,
     k: int,
@@ -428,10 +392,6 @@ def agglomerative_clustering(
         Apply the Algorithm 2 shrink step to ripe clusters, keeping all
         final clusters at size exactly k where possible.
 
-    The dense engine runs up to :data:`DENSE_MAX_RECORDS` records and
-    the matrix-free engine above; both produce the same clustering
-    (same merge sequence, same tie-breaking).
-
     Returns
     -------
     A :class:`Clustering` whose every cluster has ≥ k records.
@@ -439,7 +399,8 @@ def agglomerative_clustering(
     Raises
     ------
     AnonymityError
-        If ``k`` exceeds the number of records or the table is empty.
+        If ``k`` exceeds the number of records, the table is empty, or
+        it has more than :data:`DENSE_MAX_RECORDS` records.
     """
     n = model.enc.num_records
     if n == 0:
@@ -449,8 +410,10 @@ def agglomerative_clustering(
     if k <= 1:
         # Trivial: every record is its own cluster, nothing is generalized.
         return Clustering(n, [[i] for i in range(n)])
-    if engine_for(n) == "columnar":
-        from repro.core.columnar import _ColumnarEngine
-
-        return _ColumnarEngine(model, distance, k).run(modified)
+    if n > DENSE_MAX_RECORDS:
+        raise AnonymityError(
+            f"agglomerative clustering takes at most {DENSE_MAX_RECORDS} "
+            f"records (its distance matrix is n×n), got n={n}; use "
+            "blocked_agglomerative or algorithm='mondrian' for larger tables"
+        )
     return _Engine(model, distance, k).run(modified)

@@ -34,14 +34,6 @@ class ClusterDistance(ABC):
     name: str = "abstract"
     #: Paper equation number, for reports.
     equation: str = ""
-    #: Whether ``evaluate`` is non-decreasing in ``cost_union`` for
-    #: fixed sizes/costs, *as floating-point code* (every operation
-    #: applied to ``cost_union`` is a round-to-nearest-monotone map:
-    #: multiply/divide by a positive constant, subtract a constant).
-    #: The matrix-free agglomerative engine's candidate pruning is only
-    #: certified for distances that declare this; unknown subclasses
-    #: default to ``False`` and fall back to the full bucket scan.
-    monotone_in_union: bool = False
 
     @abstractmethod
     def evaluate(
@@ -68,7 +60,6 @@ class WeightedDelta(ClusterDistance):
 
     name = "d1"
     equation = "(8)"
-    monotone_in_union = True  # (|A|+|B|)·cu: positive multiplier
 
     def evaluate(self, size_a, cost_a, size_b, cost_b, cost_union):
         return (size_a + size_b) * cost_union - size_a * cost_a - size_b * cost_b
@@ -83,7 +74,6 @@ class PlainDelta(ClusterDistance):
 
     name = "d2"
     equation = "(9)"
-    monotone_in_union = True  # cu − const
 
     def evaluate(self, size_a, cost_a, size_b, cost_b, cost_union):
         return cost_union - cost_a - cost_b
@@ -100,7 +90,6 @@ class LogNormalizedDelta(ClusterDistance):
 
     name = "d3"
     equation = "(10)"
-    monotone_in_union = True  # (cu − const) / log₂(|A|+|B|), log ≥ 1
 
     def evaluate(self, size_a, cost_a, size_b, cost_b, cost_union):
         return (cost_union - cost_a - cost_b) / np.log2(size_a + size_b)
@@ -116,7 +105,6 @@ class RatioDistance(ClusterDistance):
 
     name = "d4"
     equation = "(11)"
-    monotone_in_union = True  # cu / (d(A)+d(B)+ε), denominator > 0
 
     def __init__(self, epsilon: float = 0.1) -> None:
         if epsilon <= 0:
@@ -137,7 +125,6 @@ class NergizCliftonDelta(ClusterDistance):
 
     name = "nc"
     equation = "[17]"
-    monotone_in_union = True  # cu − d(B)
 
     def evaluate(self, size_a, cost_a, size_b, cost_b, cost_union):
         return cost_union - cost_b

@@ -38,7 +38,10 @@ def _partition_blocks(
     """Mondrian-style median splits until blocks fit ``block_size``.
 
     Splits keep both sides ≥ max(k, block_size // 4) so no block ever
-    drops below k records.
+    drops below k records.  A block no attribute can split that way
+    (near-uniform or heavily skewed values) is halved by index: both
+    halves hold ≥ block_size // 2 ≥ k records, so every block ends
+    ≤ block_size.
     """
     floor = max(k, block_size // 4)
     blocks: list[np.ndarray] = []
@@ -68,9 +71,9 @@ def _partition_blocks(
                 split = (left, right)
                 break
         if split is None:
-            blocks.append(members)  # unsplittable (near-uniform) block
-        else:
-            queue.extend(split)
+            half = len(members) // 2
+            split = (members[:half], members[half:])
+        queue.extend(split)
     return blocks
 
 

@@ -234,7 +234,9 @@ class CostModel:
         floats, same accumulation order — without materializing the
         union rows: one linearized gather reads every attribute's entry
         of :meth:`join_cost_tables` at once.  Scans whose candidate set
-        changes between steps price through this method; fixed sets
+        changes between steps price through this method: Algorithm 5's
+        candidates, Algorithm 6's upgrade step, the agglomerative row
+        refresh and leftover distribution, and k-member.  Fixed sets
         use :meth:`bind`.
         """
         fused = self._join_tables

@@ -29,9 +29,7 @@ __all__ = [
 #: Every literal counter / gauge / histogram name, sorted.
 METRIC_NAMES: FrozenSet[str] = frozenset(
     {
-        # core (agglomerative family, dense and matrix-free engines)
-        "core.agglomerative.bucket_evals",
-        "core.agglomerative.bucket_pruned",
+        # core (agglomerative family)
         "core.agglomerative.candidates_pruned",
         "core.agglomerative.candidates_scanned",
         "core.agglomerative.merges",

@@ -41,7 +41,6 @@ from repro.perf.compare import (
 )
 from repro.perf.equivalence import (
     canonical_journal_entries,
-    check_backend_equivalence,
     check_parallel_equivalence,
     plan_cells,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ComparisonFinding",
     "ParallelStats",
     "canonical_journal_entries",
-    "check_backend_equivalence",
     "check_parallel_equivalence",
     "compare_reports",
     "default_cases",

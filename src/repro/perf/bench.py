@@ -73,17 +73,6 @@ BENCH_SCHEMA_V1 = "repro.perf.bench/1"
 QUICK_SIZES = (80,)
 FULL_SIZES = (150, 300)
 
-#: Clustered-state candidate-scan pair size per mode (see
-#: :func:`_scan_cases`): quick stays inside the smoke cap, full is the
-#: n=10k point the speedup floor is enforced at.
-SCAN_QUICK_N = 2_000
-SCAN_FULL_N = 10_000
-
-#: Columnar-only scan sizes (full mode).  The python engine's dense
-#: matrix is O(n²) floats — 20 GB at n=50k — so these points have no
-#: baseline leg; they pin absolute scan latency at scale instead.
-SCALE_SIZES = (10_000, 50_000, 100_000)
-
 #: Repeat counts per mode (median over repeats is the reported figure).
 QUICK_REPEAT = 2
 FULL_REPEAT = 5
@@ -106,7 +95,7 @@ class BenchCase:
     """
 
     name: str
-    group: str  #: "algorithm", "matching", "hotpath", "scale" or "serve"
+    group: str  #: "algorithm", "matching", "hotpath" or "serve"
     n: int
     setup: Callable[[], Callable[[], object]]
     pair: str = ""  #: pair name ("" = unpaired)
@@ -370,123 +359,6 @@ def _hotpath_cases(sizes: Sequence[int]) -> list[BenchCase]:
     return cases
 
 
-_SCAN_CLUSTER = 5
-#: LM is monotone, so the scan pair exercises the certified pruning path.
-_SCAN_MEASURE = "lm"
-
-
-def _clustered_engine(n: int, columnar: bool) -> tuple[_Engine, list[int]]:
-    """An engine frozen mid-run plus the probe slots to rescan.
-
-    Blocks of ``_SCAN_CLUSTER`` consecutive records are merged, which
-    collapses the surviving clusters onto few generalization-lattice
-    nodes — the steady-state regime the columnar bucketing exploits
-    (singleton *init* is a different, already-benchmarked story).  Both
-    engines receive identical slot state, so the pair times nothing
-    but the candidate scan itself.
-    """
-    from repro.core.columnar import _ColumnarEngine
-
-    model = _model(n, _SCAN_MEASURE)
-    cls: type[_Engine] = _ColumnarEngine if columnar else _Engine
-    engine = cls.__new__(cls)
-    engine._init_slots(model, get_distance("d3"), _SCAN_CLUSTER + 1)
-    enc = model.enc
-    for start in range(0, n, _SCAN_CLUSTER):
-        group = list(range(start, min(start + _SCAN_CLUSTER, n)))
-        slot = group[0]
-        engine.nodes[slot] = enc.closure_of_records(group)
-        engine.sizes[slot] = len(group)
-        engine.costs[slot] = float(model.record_cost(engine.nodes[slot]))
-        engine.members[slot] = group
-        for other in group[1:]:
-            engine.active[other] = False
-            engine.members[other] = None
-    if columnar:
-        engine._adopt_state()
-        scan = engine._scan_row_refresh
-        group_of = lambda slot: int(engine.bucket_of[slot])  # noqa: E731
-    else:
-        # The reference engine's refresh maintains its dense matrix, so
-        # the matrix must exist; zeros suffice — the timed writes do not
-        # depend on prior contents, and row minima are warmed below.
-        engine.matrix = np.zeros((n, n), dtype=np.float64)
-        scan = engine._distances_from
-        keys: dict[bytes, int] = {}
-        group_of = lambda slot: keys.setdefault(  # noqa: E731
-            engine.nodes[slot].tobytes()
-            + engine.sizes[slot].tobytes()
-            + engine.costs[slot].tobytes(),
-            len(keys),
-        )
-    _warm_row_minima(engine, scan, group_of)
-    acts = np.flatnonzero(engine.active)
-    # Enough probes that each timed leg runs tens of milliseconds:
-    # short legs make the pair ratio hostage to scheduler spikes.
-    probes = [int(p) for p in acts[:: max(1, acts.size // 200)]]
-    return engine, probes
-
-
-def _warm_row_minima(
-    engine: _Engine,
-    scan: Callable[[int], np.ndarray],
-    group_of: Callable[[int], int],
-) -> None:
-    """Exact ``row_min`` for a prepared engine, cheaply.
-
-    Slots with identical node/size/cost state see identical candidate
-    distances, so one scan per *distinct* state warms every member's
-    cached minimum — the value feeding the pruning push bound — at O(B)
-    scans instead of O(n).  Pruned buckets report a lower bound
-    strictly above the running best, so ``min``/``argmin`` stay exact
-    during warm-up.
-    """
-    acts = np.flatnonzero(engine.active)
-    groups: dict[int, list[int]] = {}
-    for slot in acts:
-        groups.setdefault(group_of(int(slot)), []).append(int(slot))
-    for members in groups.values():
-        dist = scan(members[0])
-        best = float(dist.min())
-        arg = int(dist.argmin())
-        for slot in members:
-            engine.row_min[slot] = best
-            engine.row_arg[slot] = arg
-
-
-def _scan_cases(quick: bool) -> list[BenchCase]:
-    """The columnar-vs-python candidate-scan pair plus the scale grid."""
-    n = SCAN_QUICK_N if quick else SCAN_FULL_N
-    # The pair name carries n so the enforced speedup floor binds the
-    # full-size pair only; the quick pair still trips the generic
-    # "optimized slower than baseline" check.
-    pair = f"agglomerative-candidate-scan-n{n}"
-
-    def scan_fast(n: int = n) -> Callable[[], object]:
-        engine, probes = _clustered_engine(n, columnar=True)
-        return lambda: [engine._refresh_row(p) for p in probes]
-
-    def scan_ref(n: int = n) -> Callable[[], object]:
-        engine, probes = _clustered_engine(n, columnar=False)
-        return lambda: [engine._refresh_row(p) for p in probes]
-
-    cases = [
-        BenchCase(f"{pair}-opt", "hotpath", n, scan_fast, pair, "optimized"),
-        BenchCase(f"{pair}-ref", "hotpath", n, scan_ref, pair, "baseline"),
-    ]
-    if not quick:
-        for sn in SCALE_SIZES:
-
-            def scale_setup(sn: int = sn) -> Callable[[], object]:
-                engine, probes = _clustered_engine(sn, columnar=True)
-                return lambda: [engine._refresh_row(p) for p in probes]
-
-            cases.append(
-                BenchCase(f"columnar-scan-n{sn}", "scale", sn, scale_setup)
-            )
-    return cases
-
-
 def default_cases(quick: bool = False) -> list[BenchCase]:
     """The pinned case set (``--quick`` shrinks the n-grid)."""
     from repro.perf.serve_bench import serve_cases  # avoid import cycle
@@ -495,7 +367,6 @@ def default_cases(quick: bool = False) -> list[BenchCase]:
     return (
         _algorithm_cases(sizes)
         + _hotpath_cases(sizes)
-        + _scan_cases(quick)
         + serve_cases(quick)
     )
 

@@ -24,7 +24,6 @@ import tempfile
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.backend import BACKENDS, forced_backend
 from repro.experiments.configs import AGGLOMERATIVE_VARIANTS, ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, RunKey
 from repro.perf.parallel import run_parallel
@@ -182,82 +181,3 @@ def _first_journal_divergence(
         if s != p:
             return f"journal line {index} differs: serial {s} != parallel {p}"
     return "journals differ"
-
-
-def check_backend_equivalence(
-    config: ExperimentConfig | None = None,
-    keys: Sequence[RunKey] | None = None,
-    work_dir: str | Path | None = None,
-) -> list[Violation]:
-    """Run ``keys`` once per agglomerative engine; report every divergence.
-
-    Each run forces its agglomerative engine through
-    ``$REPRO_BACKEND`` (:func:`repro.core.backend.forced_backend`).
-    :class:`RunKey` (and hence the journal identity) carries no engine
-    — the engines are bit-equivalent by contract — so the strongest
-    possible statement is that the runs produce byte-identical
-    canonical journals: same cells, same order, same costs, same extra
-    diagnostics, same tie-breaking wherever a tie influences a recorded
-    number.  That is exactly what this check demands, per-cell first
-    (for pinpointed findings) and then on the full journal.
-
-    An empty return means the engines are equivalent on this grid.
-    """
-    config = config or ExperimentConfig()
-    if keys is None:
-        keys = plan_cells(config)
-    keys = list(keys)
-    reference, *others = BACKENDS
-    violations: list[Violation] = []
-
-    with tempfile.TemporaryDirectory(dir=work_dir) as tmp:
-        runs: dict[str, ExperimentRunner] = {}
-        journals: dict[str, Journal] = {}
-        for backend in BACKENDS:
-            journal = Journal(Path(tmp) / f"{backend}.jsonl")
-            runner = ExperimentRunner(config, journal=journal)
-            with forced_backend(backend):
-                for key in keys:
-                    runner.run_key(key)
-            runs[backend] = runner
-            journals[backend] = journal
-
-        ref_runner = runs[reference]
-        for backend in others:
-            other = runs[backend]
-            for key in keys:
-                if not other.has(key):
-                    violations.append(
-                        Violation(
-                            "perf.backend.missing-cell",
-                            f"{backend} run never produced {key}",
-                        )
-                    )
-                    continue
-                r_out = json.dumps(
-                    _canonical_outcome(ref_runner._runs[key].to_json()),
-                    sort_keys=True,
-                )
-                b_out = json.dumps(
-                    _canonical_outcome(other._runs[key].to_json()),
-                    sort_keys=True,
-                )
-                if r_out != b_out:
-                    violations.append(
-                        Violation(
-                            "perf.backend.outcome",
-                            f"{key}: {reference} {r_out} != "
-                            f"{backend} {b_out}",
-                        )
-                    )
-            ref_lines = canonical_journal_entries(journals[reference])
-            other_lines = canonical_journal_entries(journals[backend])
-            if ref_lines != other_lines:
-                detail = _first_journal_divergence(ref_lines, other_lines)
-                violations.append(
-                    Violation(
-                        "perf.backend.journal",
-                        f"{reference} vs {backend}: {detail}",
-                    )
-                )
-    return violations

@@ -32,9 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.agglomerative import agglomerative_clustering, engine_for
+from repro.core.agglomerative import agglomerative_clustering
 from repro.core.api import anonymize
-from repro.core.backend import forced_backend
 from repro.core.clustering import Clustering, clustering_to_nodes
 from repro.core.datafly import datafly
 from repro.core.distances import get_distance
@@ -80,11 +79,6 @@ class AlgorithmSpec:
         repr=False
     )
     requires_laminar: bool = False  #: skip on non-laminar schemas
-    #: The runner drives the agglomerative engine, which has a dense and
-    #: a matrix-free form.  Such algorithms are executed under *both*
-    #: engines per case and must produce bit-identical node matrices
-    #: (``backend.divergence`` otherwise).
-    two_engines: bool = False
 
 
 def _clustered(model: CostModel, clustering: Clustering) -> AlgorithmOutput:
@@ -164,11 +158,11 @@ def _run_global(model: CostModel, cfg: InstanceConfig) -> AlgorithmOutput:
 
 #: Every registered algorithm, in execution order.
 REGISTRY: tuple[AlgorithmSpec, ...] = (
-    AlgorithmSpec("agglomerative", "k", _run_agglomerative, two_engines=True),
+    AlgorithmSpec("agglomerative", "k", _run_agglomerative),
     AlgorithmSpec("forest", "k", _run_forest),
     AlgorithmSpec("mondrian", "k", _run_mondrian),
     AlgorithmSpec("kmember", "k", _run_kmember),
-    AlgorithmSpec("blocked", "k", _run_blocked, two_engines=True),
+    AlgorithmSpec("blocked", "k", _run_blocked),
     AlgorithmSpec("datafly", "k", _run_datafly, requires_laminar=True),
     AlgorithmSpec("k1-nearest", "k1", _run_k1_nearest),
     AlgorithmSpec("k1-expansion", "k1", _run_k1_expansion),
@@ -297,55 +291,10 @@ def check_api_end_to_end(instance: Instance) -> list[Violation]:
     return out
 
 
-def _check_engine_agreement(
-    spec: AlgorithmSpec,
-    model: CostModel,
-    cfg: InstanceConfig,
-    produced: AlgorithmOutput,
-) -> list[Violation]:
-    """Re-run ``spec`` under the other engine; demand identical nodes.
-
-    The dense and matrix-free agglomerative engines promise
-    *bit-identical* outputs (same tie-breaking, same merge sequence),
-    so any difference in the node matrix — not merely in cost — is a
-    finding.  The other engine is forced through ``$REPRO_BACKEND``.
-    """
-    primary = engine_for(model.enc.num_records)
-    other = "columnar" if primary == "python" else "python"
-    try:
-        with forced_backend(other):
-            mirrored = spec.run(model, cfg)
-    except Exception as exc:  # noqa: BLE001 — asymmetric crash is the finding
-        return [
-            Violation(
-                "backend.divergence",
-                f"{spec.name}: {primary} engine succeeded but {other} "
-                f"raised {type(exc).__name__}: {exc}",
-            )
-        ]
-    if not np.array_equal(produced.nodes, mirrored.nodes):
-        diff = int((produced.nodes != mirrored.nodes).any(axis=1).sum())
-        return [
-            Violation(
-                "backend.divergence",
-                f"{spec.name} (k={cfg.k}, distance={cfg.distance}, "
-                f"measure={cfg.measure}, modified={cfg.modified}): "
-                f"{primary} and {other} engines disagree on "
-                f"{diff} record(s)",
-            )
-        ]
-    return []
-
-
 def differential_check(
     instance: Instance, include_matching: bool = True
 ) -> list[Violation]:
     """Run every applicable registered algorithm on one instance.
-
-    Algorithms that drive the agglomerative engine additionally run
-    under the engine the size rule did not pick and must reproduce the
-    primary engine's node matrix bit for bit (``backend.divergence``
-    otherwise).
 
     Returns all invariant violations found; an empty list means the
     instance passed the full differential battery.
@@ -378,8 +327,6 @@ def differential_check(
                 )
             )
             continue
-        if spec.two_engines:
-            out.extend(_check_engine_agreement(spec, model, cfg, produced))
         out.extend(
             check_generalization(
                 enc, produced.nodes, spec.notion, cfg.k, label=spec.name

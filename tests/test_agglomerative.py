@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.agglomerative as agglomerative
 from repro.core.agglomerative import agglomerative_clustering
 from repro.core.clustering import clustering_to_nodes
 from repro.core.distances import distance_names, get_distance
@@ -82,6 +83,45 @@ class TestBasicAlgorithm:
         c1 = agglomerative_clustering(model1, 4, get_distance("d3"))
         c2 = agglomerative_clustering(model2, 4, get_distance("d3"))
         assert c1.clusters == c2.clusters
+
+
+class TestSizeLimit:
+    """Tables above ``DENSE_MAX_RECORDS`` are refused before the n×n
+    matrix is allocated.  The limit is lowered here to keep the test
+    small, which also pins that it is read at call time."""
+
+    LIMIT = 24
+
+    @pytest.fixture
+    def model_of(self, monkeypatch):
+        monkeypatch.setattr(agglomerative, "DENSE_MAX_RECORDS", self.LIMIT)
+
+        def build(n):
+            table = make_random_table(n, seed=5, domain_sizes=(5, 4))
+            return CostModel(EncodedTable(table), EntropyMeasure())
+
+        return build
+
+    def test_runs_at_the_limit(self, model_of):
+        clustering = agglomerative_clustering(
+            model_of(self.LIMIT), 3, get_distance("d3")
+        )
+        assert clustering.num_records == self.LIMIT
+        assert clustering.min_cluster_size() >= 3
+
+    def test_refuses_one_record_more(self, model_of, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine must not be built")
+
+        monkeypatch.setattr(agglomerative, "_Engine", no_engine)
+        n = self.LIMIT + 1
+        with pytest.raises(AnonymityError) as info:
+            agglomerative_clustering(model_of(n), 3, get_distance("d3"))
+        message = str(info.value)
+        assert f"n={n}" in message
+        assert str(self.LIMIT) in message
+        assert "blocked_agglomerative" in message
+        assert "mondrian" in message
 
 
 class TestModifiedAlgorithm:

@@ -24,7 +24,6 @@ from repro.tabular.attribute import Attribute, integer_attribute
 from repro.tabular.encoding import EncodedTable
 from repro.tabular.hierarchy import SubsetCollection, interval_hierarchy
 from repro.tabular.table import Schema, Table
-from repro.core.backend import BACKENDS, forced_backend
 from repro.verify.differential import REGISTRY
 from repro.verify.generators import InstanceConfig
 
@@ -190,12 +189,6 @@ def _spec_params():
     )
 
 
-#: The degenerate matrix runs under both agglomerative engines, forced
-#: through ``$REPRO_BACKEND``: off-by-one bugs in the bucketed engine
-#: hide exactly in these shapes.
-_backend_params = pytest.mark.parametrize("backend", BACKENDS)
-
-
 class TestDegenerateAcrossRegistry:
     """Every registered algorithm through the degenerate-shape matrix.
 
@@ -215,58 +208,46 @@ class TestDegenerateAcrossRegistry:
         ]
         return Table(schema, rows)
 
-    def _run(self, spec, table, k, measure="entropy", backend="python"):
+    def _run(self, spec, table, k, measure="entropy"):
         model = CostModel(EncodedTable(table), EntropyMeasure())
-        with forced_backend(backend):
-            return model, spec.run(model, _config(k, measure))
+        return model, spec.run(model, _config(k, measure))
 
-    @_backend_params
     @_spec_params()
-    def test_k_equals_one(self, spec, small_table, backend):
-        model, out = self._run(spec, small_table, k=1, backend=backend)
+    def test_k_equals_one(self, spec, small_table):
+        model, out = self._run(spec, small_table, k=1)
         assert satisfies(model.enc, out.nodes, spec.notion, 1)
 
-    @_backend_params
     @_spec_params()
-    def test_k_equals_n(self, spec, small_table, backend):
+    def test_k_equals_n(self, spec, small_table):
         n = small_table.num_records
-        model, out = self._run(spec, small_table, k=n, backend=backend)
+        model, out = self._run(spec, small_table, k=n)
         assert satisfies(model.enc, out.nodes, spec.notion, n)
 
-    @_backend_params
     @_spec_params()
-    def test_k_above_n_raises_anonymity_error(self, spec, small_table, backend):
+    def test_k_above_n_raises_anonymity_error(self, spec, small_table):
         with pytest.raises(AnonymityError):
-            self._run(
-                spec, small_table, k=small_table.num_records + 1,
-                backend=backend,
-            )
+            self._run(spec, small_table, k=small_table.num_records + 1)
 
-    @_backend_params
     @_spec_params()
-    def test_empty_table_raises_repro_error(self, spec, small_table, backend):
+    def test_empty_table_raises_repro_error(self, spec, small_table):
         empty = Table(small_table.schema, [])
         with pytest.raises(ReproError):
-            self._run(spec, empty, k=1, backend=backend)
+            self._run(spec, empty, k=1)
 
-    @_backend_params
     @_spec_params()
-    def test_single_attribute_table(self, spec, backend):
+    def test_single_attribute_table(self, spec):
         att = Attribute("a", ["x", "y", "z"])
         table = Table(
             Schema([SubsetCollection(att)]),
             [("x",), ("y",), ("z",), ("x",), ("y",), ("x",)],
         )
-        model, out = self._run(spec, table, k=2, backend=backend)
+        model, out = self._run(spec, table, k=2)
         assert satisfies(model.enc, out.nodes, spec.notion, 2)
 
-    @_backend_params
     @_spec_params()
-    def test_all_duplicate_rows_cost_zero(
-        self, spec, identical_rows_table, backend
-    ):
+    def test_all_duplicate_rows_cost_zero(self, spec, identical_rows_table):
         n = identical_rows_table.num_records
-        model, out = self._run(spec, identical_rows_table, k=n, backend=backend)
+        model, out = self._run(spec, identical_rows_table, k=n)
         assert satisfies(model.enc, out.nodes, spec.notion, n)
         assert model.table_cost(out.nodes) == pytest.approx(0.0)
 

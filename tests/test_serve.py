@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+import repro.core.agglomerative as agglomerative
 import repro.serve.service as service_module
 from repro.errors import RequestError, ReproError, ServiceOverloaded
 from repro.obs import (
@@ -510,6 +511,33 @@ class TestService:
         assert attempts[0] == {"name": "kk", "status": "error"}
         assert service.registry.counter("serve.degraded") == 1
 
+    def test_agglomerative_size_limit_degrades_to_mondrian(self, monkeypatch):
+        """Above ``DENSE_MAX_RECORDS`` the agglomerative rung refuses
+        the table; the chain serves Mondrian and says so."""
+        monkeypatch.setattr(agglomerative, "DENSE_MAX_RECORDS", 29)
+        service = _service()
+        envelope = service.handle(_request(notion="k", n=30))
+        assert envelope["status"] == "ok"
+        guarantee = envelope["body"]["guarantee"]
+        assert guarantee["requested_notion"] == "k"
+        assert guarantee["winner"] == "mondrian"
+        assert guarantee["algorithm"] == "mondrian"
+        assert guarantee["degraded"] is True
+        attempts = envelope["body"]["fallback"]["attempts"]
+        assert attempts[:2] == [
+            {"name": "agglomerative", "status": "error"},
+            {"name": "mondrian", "status": "ok"},
+        ]
+        assert service.registry.counter("serve.degraded") == 1
+
+    def test_agglomerative_size_limit_leaves_kk_alone(self, monkeypatch):
+        monkeypatch.setattr(agglomerative, "DENSE_MAX_RECORDS", 29)
+        envelope = _service().handle(_request(notion="kk", n=30))
+        assert envelope["status"] == "ok"
+        guarantee = envelope["body"]["guarantee"]
+        assert guarantee["winner"] == "kk"
+        assert guarantee["degraded"] is False
+
     def test_transient_faults_are_absorbed_by_retry(self):
         service = _service()
         plan = (
@@ -740,10 +768,8 @@ class TestChaosDrill:
 
 
 class TestBackendPurity:
-    """The agglomerative engine is an execution detail the service does
-    not expose: no request field selects it and no envelope reports it.
-    Bodies, cache keys and the echoed request are byte-identical under
-    either engine (forced here through ``$REPRO_BACKEND``)."""
+    """No request field selects an engine and no envelope reports one:
+    bodies are a pure function of the request."""
 
     #: sha256 of the canonical body of each request, miss and hit alike.
     #: Bodies are a pure function of the request; these digests must
@@ -762,27 +788,6 @@ class TestBackendPurity:
             "05239733ad43a46e030df98885e0af96055d901c7757ea0d69acc6b21ea2bbcd",
         ),
     )
-
-    def test_bodies_byte_identical_across_backends(self, monkeypatch):
-        envelopes = {}
-        for backend in ("python", "columnar"):
-            monkeypatch.setenv("REPRO_BACKEND", backend)
-            envelopes[backend] = _service().handle(_request(notion="k"))
-        py, col = envelopes["python"], envelopes["columnar"]
-        assert py["status"] == col["status"] == "ok"
-        assert canonical_body(py) == canonical_body(col)
-        assert py["request"] == col["request"]
-
-    def test_backends_share_one_cache_entry(self, monkeypatch):
-        service = _service()
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        first = service.handle(_request(notion="k"))
-        assert first["meta"]["cache_hit"] is False
-        monkeypatch.setenv("REPRO_BACKEND", "columnar")
-        second = service.handle(_request(notion="k"))
-        assert second["meta"]["cache_hit"] is True
-        assert second["body"] == first["body"]
-        assert service.registry.counter("serve.execute.computed") == 1
 
     def test_backend_appears_nowhere(self):
         service = _service()
@@ -808,12 +813,12 @@ class TestBackendPurity:
     def test_unknown_backend_is_a_request_error(self):
         """``backend`` is no longer a request field: it is rejected like
         any other unknown key, with the same envelope."""
-        for value in ("columnar", "gpu"):
+        for value in ("python", "gpu"):
             with pytest.raises(RequestError, match="unknown request fields"):
                 AnonymizeRequest.from_json({"k": 2, "backend": value})
         service = _service()
-        stale = service.handle(_request(backend="columnar"))
-        typo = service.handle(_request(bogus="columnar"))
+        stale = service.handle(_request(backend="python"))
+        typo = service.handle(_request(bogus="python"))
         assert stale["status"] == typo["status"] == "error"
         assert stale["error"]["kind"] == typo["error"]["kind"] == "request"
         assert stale["error"]["message"] == typo["error"]["message"].replace(

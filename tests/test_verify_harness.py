@@ -9,16 +9,11 @@ case seed while the bug is still in place.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-import repro.core.columnar as columnar
 import repro.core.notions as notions
-from repro.verify.differential import differential_check
-from repro.verify.generators import Instance, InstanceConfig, random_instance
+from repro.verify.generators import random_instance
 from repro.verify.harness import FuzzReport, check_case, fuzz
-
-from tests.conftest import make_random_table
 
 
 class TestFuzzLoop:
@@ -61,27 +56,6 @@ class TestInjectedBugDetection:
             return real(enc, node_matrix, k + 1)
 
         monkeypatch.setattr(notions, "is_k_one_anonymous", too_strict)
-
-    def test_engine_divergence_is_caught(self, monkeypatch):
-        """The agglomerative family runs under both engines per case: a
-        matrix-free engine whose pruning bound overclaims is reported as
-        ``backend.divergence``, whichever engine ``$REPRO_BACKEND`` makes
-        primary."""
-        monkeypatch.setattr(columnar._ColumnarEngine, "prune_min_buckets", 0)
-        monkeypatch.setattr(
-            columnar,
-            "union_cost_lower_bound",
-            lambda model, ca, cb: np.maximum(ca, cb) + 0.5,
-        )
-        config = InstanceConfig(
-            seed=8, k=3, notion="k", measure="lm", distance="d3",
-            expander="expansion", modified=False,
-        )
-        instance = Instance(make_random_table(30, seed=8), config)
-        for primary in ("python", "columnar"):
-            monkeypatch.setenv("REPRO_BACKEND", primary)
-            found = differential_check(instance, include_matching=False)
-            assert "backend.divergence" in {v.invariant for v in found}
 
     def test_fuzz_catches_and_replays(self, broken_k1_verifier):
         report = fuzz(seed=42, max_cases=30, max_failures=1)
