@@ -184,8 +184,11 @@ def _config(k, measure="entropy"):
 
 
 def _spec_params():
+    # Case ids end in ``-python``, the name the dense agglomerative
+    # engine ran under while a second engine existed; keeping it keeps
+    # each case's name comparable across versions.
     return pytest.mark.parametrize(
-        "spec", REGISTRY, ids=[s.name for s in REGISTRY]
+        "spec", REGISTRY, ids=[f"{s.name}-python" for s in REGISTRY]
     )
 
 
